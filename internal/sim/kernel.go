@@ -1,58 +1,92 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
-// event is a scheduled callback. Events with equal time fire in insertion
-// order (seq), which makes the simulation deterministic.
+// event is a scheduled wake-up: it resumes process p or, for plain
+// callbacks (After, Alarm deadlines), calls fn. Events with equal time
+// fire in insertion order (seq), which makes the simulation
+// deterministic.
 type event struct {
 	at  Time
 	seq uint64
+	p   *Proc
 	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
-// Kernel is a deterministic discrete-event scheduler. The zero value is
-// not usable; create kernels with New.
+// eventHeap is a binary min-heap of events ordered by (at, seq), held by
+// value so that scheduling allocates nothing once the slice has grown.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	// Move the hole up from the new leaf instead of swapping.
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop references for the GC
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	// Move the hole down from the root to where the last event belongs.
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
+}
+
+// Kernel is a deterministic discrete-event scheduler. Create kernels
+// with New.
 type Kernel struct {
-	now     Time
-	seq     uint64
-	events  eventHeap
-	yielded chan struct{} // signalled by a process when it hands control back
-	parked  map[*Proc]struct{}
-	alive   int
-	panicv  any
-	trapped bool
+	now    Time
+	seq    uint64
+	events eventHeap
+	// oldest and newest bound the list of live processes in the order
+	// they were started; Shutdown walks it.
+	oldest, newest *Proc
+	alive          int
+	panicv         any
+	trapped        bool
 }
 
 // New returns an empty kernel at time zero.
-func New() *Kernel {
-	return &Kernel{
-		yielded: make(chan struct{}),
-		parked:  make(map[*Proc]struct{}),
-	}
-}
+func New() *Kernel { return &Kernel{} }
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
@@ -76,7 +110,13 @@ func (k *Kernel) After(d Time, fn func()) {
 
 func (k *Kernel) at(t Time, fn func()) {
 	k.seq++
-	heap.Push(&k.events, &event{at: t, seq: k.seq, fn: fn})
+	k.events.push(event{at: t, seq: k.seq, fn: fn})
+}
+
+// wakeAt schedules p to resume at time t.
+func (k *Kernel) wakeAt(t Time, p *Proc) {
+	k.seq++
+	k.events.push(event{at: t, seq: k.seq, p: p})
 }
 
 // Run executes events until the queue drains. Processes blocked on a
@@ -103,11 +143,15 @@ func (k *Kernel) RunUntil(t Time) {
 func (k *Kernel) RunFor(d Time) { k.RunUntil(k.now + d) }
 
 func (k *Kernel) step() {
-	e := heap.Pop(&k.events).(*event)
+	e := k.events.pop()
 	if e.at > k.now {
 		k.now = e.at
 	}
-	e.fn()
+	if e.p != nil {
+		e.p.resume()
+	} else {
+		e.fn()
+	}
 	if k.trapped {
 		v := k.panicv
 		k.trapped = false
@@ -116,30 +160,16 @@ func (k *Kernel) step() {
 	}
 }
 
-// Shutdown unwinds every parked process (their deferred functions run)
-// and clears the event queue. The kernel remains usable afterwards.
+// Shutdown ends every live process, oldest first: one that has run
+// unwinds with its deferred functions executing, and one that never ran
+// is dropped without running. It then clears the event queue. It must
+// be called from outside any process. The kernel remains usable
+// afterwards.
 func (k *Kernel) Shutdown() {
-	// Killing a process runs its defers, which may park other processes
-	// or schedule events, so iterate until quiescent.
-	for len(k.parked) > 0 {
-		var p *Proc
-		for q := range k.parked {
-			if p == nil || q.id < p.id {
-				p = q
-			}
-		}
-		p.killed = true
-		k.resume(p)
+	// A dying process's defers may start new processes; they join the
+	// end of the list and are unwound in turn.
+	for k.oldest != nil {
+		k.oldest.kill()
 	}
 	k.events = nil
-}
-
-// resume transfers control to p and blocks until p parks or terminates.
-func (k *Kernel) resume(p *Proc) {
-	if p.terminated {
-		return
-	}
-	delete(k.parked, p)
-	p.wake <- struct{}{}
-	<-k.yielded
 }

@@ -347,6 +347,32 @@ func TestShutdownUnwindsParkedProcesses(t *testing.T) {
 	}
 }
 
+// A process that never got to run before Shutdown — whether started
+// before it or from a defer during it — is released without running its
+// body.
+func TestShutdownReleasesUnstartedProcesses(t *testing.T) {
+	k := New()
+	ran := 0
+	k.Go("never", func(p *Proc) { ran++ })
+	q := NewQueue[int](k)
+	k.Go("spawner", func(p *Proc) {
+		defer p.Kernel().Go("orphan", func(c *Proc) { ran++ })
+		q.Get(p)
+	})
+	k.RunUntil(0)
+	k.Go("late", func(p *Proc) { ran++ })
+	k.Shutdown()
+	if ran != 1 {
+		t.Errorf("ran = %d, want 1 (only \"never\", before Shutdown)", ran)
+	}
+	if k.Alive() != 0 {
+		t.Errorf("Alive() = %d, want 0", k.Alive())
+	}
+	if k.Pending() != 0 {
+		t.Errorf("Pending() = %d, want 0", k.Pending())
+	}
+}
+
 func TestProcessPanicPropagates(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -55,8 +55,7 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 		q.waiters = append(q.waiters, p)
 		p.park()
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
+	v = popFront(&q.items)
 	// An item may have arrived for another parked consumer while this one
 	// was scheduled; keep the chain going if items remain.
 	if len(q.items) > 0 {
@@ -70,16 +69,28 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 	if len(q.items) == 0 {
 		return v, false
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return popFront(&q.items), true
 }
 
 func (q *Queue[T]) wakeOne() {
 	if len(q.waiters) == 0 {
 		return
 	}
-	p := q.waiters[0]
-	q.waiters = q.waiters[1:]
-	p.wakeLater()
+	popFront(&q.waiters).wakeLater()
+}
+
+// popFront removes and returns the head of a FIFO slice. A slice that
+// drains keeps its backing array, so a queue that holds at most a few
+// items at a time stops allocating.
+func popFront[T any](s *[]T) T {
+	q := *s
+	v := q[0]
+	var zero T
+	q[0] = zero // drop the reference for the GC
+	if len(q) == 1 {
+		*s = q[:0]
+	} else {
+		*s = q[1:]
+	}
+	return v
 }

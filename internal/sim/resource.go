@@ -54,8 +54,7 @@ func (r *Resource) Release() {
 		r.inUse--
 		return
 	}
-	w := r.waiters[0]
-	r.waiters = r.waiters[1:]
+	w := popFront(&r.waiters)
 	w.granted = true
 	w.p.wakeLater()
 }

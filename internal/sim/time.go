@@ -8,6 +8,12 @@
 // emulator: the same device model can run either under the kernel
 // (virtual time, used by all experiments) or against the wall clock
 // (sim.RealWaiter, used by live demos).
+//
+// Processes are coroutines (iter.Pull), not free-running goroutines: a
+// blocking call switches straight back to the kernel's event loop, which
+// resumes the next process itself. A kernel's processes are therefore
+// all driven from the one goroutine that calls Run or Shutdown, and a
+// kernel must not be run from two goroutines at once.
 package sim
 
 import "fmt"

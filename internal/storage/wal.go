@@ -476,22 +476,52 @@ func encodeRecordTo(dst []byte, r *LogRecord) []byte {
 // encodeRecord encodes r into a fresh slice.
 func encodeRecord(r *LogRecord) []byte { return encodeRecordTo(nil, r) }
 
-// recDec is the decode cursor mirroring recEnc.
+// recDec is the decode cursor mirroring recEnc. It fails soft: a read
+// that would run past the end of the record yields zero values and sets
+// bad, so a truncated or corrupt body decodes to 0 instead of
+// panicking.
 type recDec struct {
 	b   []byte
 	pos int
+	bad bool
 }
 
-func (d *recDec) u16() uint16 { v := binary.LittleEndian.Uint16(d.b[d.pos:]); d.pos += 2; return v }
-func (d *recDec) u32() uint32 { v := binary.LittleEndian.Uint32(d.b[d.pos:]); d.pos += 4; return v }
-func (d *recDec) u64() uint64 { v := binary.LittleEndian.Uint64(d.b[d.pos:]); d.pos += 8; return v }
+func (d *recDec) u16() uint16 {
+	if v := d.raw(2); v != nil {
+		return binary.LittleEndian.Uint16(v)
+	}
+	return 0
+}
+
+func (d *recDec) u32() uint32 {
+	if v := d.raw(4); v != nil {
+		return binary.LittleEndian.Uint32(v)
+	}
+	return 0
+}
+
+func (d *recDec) u64() uint64 {
+	if v := d.raw(8); v != nil {
+		return binary.LittleEndian.Uint64(v)
+	}
+	return 0
+}
+
+// left reports the unread bytes.
+func (d *recDec) left() int { return len(d.b) - d.pos }
 
 // raw returns the next n stream bytes as a capacity-clamped subslice —
-// an alias, not a copy. The recovered stream is assembled once and
-// never rewritten, so decoded records may reference it directly; the
-// three-index slice keeps a caller's append from growing into the
-// following record's bytes.
+// an alias, not a copy — or nil (setting bad) if fewer than n remain.
+// The recovered stream is assembled once and never rewritten, so
+// decoded records may reference it directly; the three-index slice
+// keeps a caller's append from growing into the following record's
+// bytes.
 func (d *recDec) raw(n int) []byte {
+	if n < 0 || n > d.left() {
+		d.bad = true
+		d.pos = len(d.b)
+		return nil
+	}
 	v := d.b[d.pos : d.pos+n : d.pos+n]
 	d.pos += n
 	return v
@@ -546,12 +576,18 @@ func decodeRecordInto(r *LogRecord, b []byte, lsn uint64) uint64 {
 	case RecCheckpoint:
 		r.Key = int64(d.u64())
 		n := int(d.u32())
+		if n > d.left()/16 {
+			return 0 // more entries claimed than bytes remain
+		}
 		r.Active = make(map[uint64]uint64, n)
 		for i := 0; i < n; i++ {
 			tx := d.u64()
 			r.Active[tx] = d.u64()
 		}
 	default:
+		return 0
+	}
+	if d.bad {
 		return 0
 	}
 	return uint64(total)
