@@ -45,6 +45,7 @@ func TestBuildSystemAllStacks(t *testing.T) {
 // short DES measurement: the WAL lives on flash either way (window or
 // native log region) and both must push transactions.
 func TestRegionsStacksRunTPS(t *testing.T) {
+	report := &JSONReport{Seed: 1}
 	for _, stack := range []Stack{StackNoFTLSingle, StackNoFTLRegions} {
 		devCfg := flash.EmulatorConfig(4, 48, nand.SLC)
 		sys, err := BuildSystem(stack, devCfg, 128)
@@ -59,6 +60,7 @@ func TestRegionsStacksRunTPS(t *testing.T) {
 		if r.TPS <= 0 || r.Committed <= 0 {
 			t.Fatalf("%s: TPS = %v committed = %d", stack, r.TPS, r.Committed)
 		}
+		report.Add("regions", "tpcb", stack, r)
 		if stack == StackNoFTLRegions {
 			if sys.Regions == nil {
 				t.Fatal("regions stack has no manager")
@@ -70,6 +72,7 @@ func TestRegionsStacksRunTPS(t *testing.T) {
 			}
 		}
 	}
+	checkGolden(t, "regions", report)
 }
 
 func TestRunTPSProducesThroughput(t *testing.T) {
@@ -269,4 +272,9 @@ func TestHeadlineSmokeShape(t *testing.T) {
 	if !strings.Contains(res.Table(), "noftl") {
 		t.Error("table missing")
 	}
+	report := &JSONReport{Seed: 7}
+	for _, row := range res.Rows {
+		report.Add("headline", "tpcb", row.Stack, &row.Result)
+	}
+	checkGolden(t, "headline", report)
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -14,7 +15,36 @@ import (
 	"noftl/internal/telemetry/blame"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite blame golden files")
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// checkGolden pins an experiment's machine-readable rows against
+// testdata/experiments/<name>.json, the refactoring oracle: same-seed
+// output must stay byte-identical (refresh with go test -update).
+func checkGolden(t *testing.T, name string, report *JSONReport) {
+	t.Helper()
+	got, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	golden := filepath.Join("testdata", "experiments", name+".json")
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (rerun with -update to regenerate)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s rows differ from golden file %s (rerun with -update if intended):\n%s", name, golden, got)
+	}
+}
 
 // blameQoSConfig is the fixed scenario every blame test shares: small
 // geometry, a deadline on the low tenant, blame attached. Changing it

@@ -50,6 +50,11 @@ func TestDeltaAblationWritesFewerBytes(t *testing.T) {
 		t.Fatalf("delta path programs %.2fx the flash bytes per tx of full pages (want < 1.0); "+
 			"full %.0f B/tx, delta %.0f B/tx", ratio, full.BytesPerTx(), dl.BytesPerTx())
 	}
+	report := &JSONReport{Seed: 42}
+	for _, row := range res.Rows {
+		report.Add("delta", "tpcb", row.Stack, &row.Result)
+	}
+	checkGolden(t, "delta", report)
 	t.Logf("bytes/tx: full=%.0f delta=%.0f (%.0f%%), faster=%.0f; TPS full=%.0f delta=%.0f",
 		full.BytesPerTx(), dl.BytesPerTx(), 100*ratio, faster.BytesPerTx(),
 		full.Result.TPS, dl.Result.TPS)

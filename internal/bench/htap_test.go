@@ -81,12 +81,13 @@ func TestHTAPAblationSmoke(t *testing.T) {
 // TestHTAPDeterministicJSON is the satellite regression: two identical
 // htap runs must produce byte-identical machine-readable output.
 func TestHTAPDeterministicJSON(t *testing.T) {
+	var report *JSONReport
 	render := func() []byte {
 		res, err := HTAPAblation(tinyHTAPConfig(7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		report := &JSONReport{Seed: 7}
+		report = &JSONReport{Seed: 7}
 		for i := range res.Rows {
 			report.AddHTAP(&res.Rows[i])
 		}
@@ -100,4 +101,5 @@ func TestHTAPDeterministicJSON(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("two identical htap runs diverged:\n%s\n---\n%s", a, b)
 	}
+	checkGolden(t, "htap", report)
 }

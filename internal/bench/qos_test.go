@@ -38,5 +38,8 @@ func TestQoSTagSplit(t *testing.T) {
 		t.Fatalf("per-tag p99 commit latencies did not split: low/high = %.3f\n%s",
 			ratio, res.Table())
 	}
+	report := &JSONReport{Seed: 42}
+	report.AddQoS(res)
+	checkGolden(t, "qos", report)
 	t.Logf("p99 split low/high = %.2fx\n%s", ratio, res.Table())
 }

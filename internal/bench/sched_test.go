@@ -132,4 +132,5 @@ func TestSchedJSONRow(t *testing.T) {
 	if r.EraseSuspends == 0 {
 		t.Fatalf("erase suspends missing: %+v", r)
 	}
+	checkGolden(t, "sched", report)
 }

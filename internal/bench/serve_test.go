@@ -136,12 +136,13 @@ func TestServeTelemetryExport(t *testing.T) {
 // identical serve ablations must produce byte-identical machine-
 // readable output.
 func TestServeDeterministicJSON(t *testing.T) {
+	var report *JSONReport
 	render := func() []byte {
 		res, err := Serve(tinyServeConfig(7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		report := &JSONReport{Seed: 7}
+		report = &JSONReport{Seed: 7}
 		report.AddServe(res)
 		out, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
@@ -153,4 +154,5 @@ func TestServeDeterministicJSON(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("two identical serve runs diverged:\n%s\n---\n%s", a, b)
 	}
+	checkGolden(t, "serve", report)
 }
