@@ -47,16 +47,18 @@ func BenchmarkFigure3_GCOverhead(b *testing.B) {
 func benchFigure4(b *testing.B, wl string) {
 	for i := 0; i < b.N; i++ {
 		res, err := noftl.Figure4(noftl.Fig4Config{
-			Workload: wl,
-			Dies:     []int{1, 4, 8},
-			Workers:  12,
-			DriveMB:  96,
-			Frames:   192,
-			Warm:     500 * sim.Millisecond,
-			Measure:  3 * sim.Second,
-			TPCB:     workload.TPCBConfig{Branches: 16},
-			TPCC:     workload.TPCCConfig{Warehouses: 1},
-			Seed:     int64(i),
+			Params: noftl.Params{
+				Workers: 12,
+				DriveMB: 96,
+				Frames:  192,
+				Warm:    500 * sim.Millisecond,
+				Measure: 3 * sim.Second,
+				Seed:    int64(i),
+			},
+			Workload:  wl,
+			DieCounts: []int{1, 4, 8},
+			TPCB:      workload.TPCBConfig{Branches: 16},
+			TPCC:      workload.TPCCConfig{Warehouses: 1},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -79,26 +81,29 @@ func BenchmarkFigure4b_TPCB_Writers(b *testing.B) { benchFigure4(b, "tpcb") }
 
 func BenchmarkHeadline_TPS_Stacks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := noftl.Headline(noftl.HeadlineConfig{
+		res, err := noftl.Headline(noftl.StackConfig{
+			Params: noftl.Params{
+				Dies:    4,
+				DriveMB: 96,
+				Workers: 12,
+				Writers: 4,
+				Frames:  256,
+				Warm:    500 * sim.Millisecond,
+				Measure: 3 * sim.Second,
+				Seed:    int64(i),
+			},
 			Workload: "tpcc",
-			Dies:     4,
-			DriveMB:  96,
-			Workers:  12,
-			Writers:  4,
-			Frames:   256,
-			Warm:     500 * sim.Millisecond,
-			Measure:  3 * sim.Second,
 			TPCC:     workload.TPCCConfig{Warehouses: 1},
-			Seed:     int64(i),
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(res.NoFTLSpeedupOverFaster(), "noftl_vs_faster")
-			b.ReportMetric(res.DFTLSlowdownVsPagemap(), "pagemap_vs_dftl")
+			tps := func(r *noftl.ScenarioResult) float64 { return r.TPS }
+			b.ReportMetric(res.Ratio("noftl", "faster", tps), "noftl_vs_faster")
+			b.ReportMetric(res.Ratio("pagemap", "dftl", tps), "pagemap_vs_dftl")
 			for _, row := range res.Rows {
-				b.ReportMetric(row.Result.TPS, "tps_"+string(row.Stack))
+				b.ReportMetric(row.TPS, "tps_"+row.Mode)
 			}
 		}
 	}
@@ -115,8 +120,8 @@ func BenchmarkLatency_RandomWrite(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			f := res.HistOf(bench.StackFaster)
-			n := res.HistOf(bench.StackNoFTL)
+			f := res.HistOf(noftl.StackFaster)
+			n := res.HistOf(noftl.StackNoFTL)
 			b.ReportMetric(f.Mean().Seconds()*1e3, "faster_mean_ms")
 			b.ReportMetric(f.Max().Seconds()*1e3, "faster_max_ms")
 			b.ReportMetric(n.Mean().Seconds()*1e3, "noftl_mean_ms")

@@ -24,7 +24,10 @@
 // (they default to simulation-friendly sizes). -json <path> additionally
 // writes machine-readable results (name, TPS, WA, erases, bytes/tx) for
 // the TPS experiments, so perf trajectories can accumulate as
-// BENCH_*.json files.
+// BENCH_*.json files. The artifact flags (-trace-out, -metrics-out,
+// -blame-out, -folded-out, -speedscope-out, -health-out, -prom-out,
+// -monitor-addr) apply to the last run of any kernel-driven experiment;
+// the others (fig3, latency, validate, ablations) reject them.
 package main
 
 import (
@@ -33,13 +36,22 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"noftl"
 )
 
+// experiment is one -exp entry. Kernel-driven experiments set sweep: it
+// prints the experiment's tables and returns the sweeps it ran, whose
+// last run the artifact flags export. The others set run.
+type experiment struct {
+	name  string
+	run   func() error
+	sweep func() ([]*noftl.Sweep, error)
+}
+
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: fig3|fig4a|fig4b|headline|latency|validate|delta|regions|sched|htap|qos|serve|ablations|all")
 		jsonOut = flag.String("json", "", "write machine-readable results (TPS, WA, erases, bytes/tx) to this path")
 		seed    = flag.Int64("seed", 42, "deterministic seed")
 		txs     = flag.Int("txs", 4000, "transactions per workload (fig3)")
@@ -56,11 +68,11 @@ func main() {
 		schedTrace = flag.Bool("sched-trace", false, "collect a command log and print per-class waits")
 		tagged     = flag.Bool("tagged", true, "include the per-request-tagging column in the sched ablation")
 
-		traceOut   = flag.String("trace-out", "", "write a Perfetto-loadable trace-event JSON file for the sched/htap experiment's last mode or the qos run")
-		metricsOut = flag.String("metrics-out", "", "write the telemetry metrics time series + flight recorder (JSON) for the sched/htap experiment's last mode or the qos run")
+		traceOut   = flag.String("trace-out", "", "write a Perfetto-loadable trace-event JSON file for the experiment's last run")
+		metricsOut = flag.String("metrics-out", "", "write the telemetry metrics time series + flight recorder (JSON) for the experiment's last run")
 		slowestK   = flag.Int("slowest", 16, "flight-recorder / blame retention: slowest K transactions (with -trace-out/-metrics-out/-blame-out)")
 
-		blameOut      = flag.String("blame-out", "", "write the latency root-cause report (interference matrix, per-victim shares, slowest spans; JSON) for the sched/htap experiment's last mode or the qos run")
+		blameOut      = flag.String("blame-out", "", "write the latency root-cause report (interference matrix, per-victim shares, slowest spans; JSON) for the experiment's last run")
 		foldedOut     = flag.String("folded-out", "", "write blame-attributed request time as folded stacks (flamegraph.pl / speedscope-loadable) for the same run as -blame-out")
 		speedscopeOut = flag.String("speedscope-out", "", "write blame-attributed request time as a speedscope sampled profile for the same run as -blame-out")
 
@@ -68,9 +80,9 @@ func main() {
 		qosMB    = flag.Int("qos-mb", 0, "drive MB for the qos demo (0: default 64)")
 		qosLowDL = flag.Int("qos-low-deadline-ms", 0, "stamp the qos demo's low tenant with this completion deadline (ms; 0: off) so its SLO misses are measured and blame-attributed")
 
-		healthOut   = flag.String("health-out", "", "write the device-health snapshot (wear heatmaps, GC efficiency, alert log; JSON) for the sched experiment's last mode")
-		promOut     = flag.String("prom-out", "", "write a Prometheus text-format metrics dump for the sched experiment's last mode")
-		monitorAddr = flag.String("monitor-addr", "", "serve live /metrics, /health and /alerts on this address during sched runs (e.g. 127.0.0.1:9464)")
+		healthOut   = flag.String("health-out", "", "write the device-health snapshot (wear heatmaps, GC efficiency, alert log; JSON) for the experiment's last run")
+		promOut     = flag.String("prom-out", "", "write a Prometheus text-format metrics dump for the experiment's last run")
+		monitorAddr = flag.String("monitor-addr", "", "serve live /metrics, /health and /alerts on this address during each run (e.g. 127.0.0.1:9464)")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this path on exit")
@@ -90,7 +102,262 @@ func main() {
 		htapFrames  = flag.Int("htap-frames", 0, "buffer frames for htap (0: default 256)")
 		htapWindow  = flag.Int("htap-window", 0, "prefetch read-ahead depth for htap (0: default 16)")
 	)
+
+	// obs is the observability every kernel-driven experiment attaches,
+	// set from the artifact flags once they are parsed.
+	var obs noftl.Observe
+	tps := func(r *noftl.ScenarioResult) float64 { return r.TPS }
+	params := func(dies, driveMB, workers int) noftl.Params {
+		return noftl.Params{Dies: dies, DriveMB: driveMB, Workers: workers,
+			Measure: noftl.SimTime(*measure) * noftl.Second, Seed: *seed, Observe: obs}
+	}
+	fig4 := func(wl string) func() ([]*noftl.Sweep, error) {
+		return func() ([]*noftl.Sweep, error) {
+			cfg := noftl.Fig4Config{Params: params(0, *driveMB, *workers), Workload: wl}
+			if *dies != "" {
+				cfg.DieCounts = parseInts(*dies)
+			}
+			res, err := noftl.Figure4(cfg)
+			if err != nil {
+				return nil, err
+			}
+			fmt.Printf("Figure 4 (%s): TPS vs dies, global vs die-wise db-writers\n", wl)
+			fmt.Print(res.Table())
+			fmt.Printf("max die-wise speedup: %.2fx\n", res.Speedup())
+			return []*noftl.Sweep{&res.Sweep}, nil
+		}
+	}
+	scaled := func() noftl.StackConfig {
+		return noftl.StackConfig{Params: params(0, *driveMB, *workers),
+			TPCC: noftl.TPCCConfig{Warehouses: *tpccWH}, TPCB: noftl.TPCBConfig{Branches: *tpcbSF}}
+	}
+	// stackSweep runs one stack sweep per workload, printing each.
+	stackSweep := func(cfg noftl.StackConfig, wls []string,
+		fn func(noftl.StackConfig) (*noftl.Sweep, error), print func(wl string, s *noftl.Sweep)) ([]*noftl.Sweep, error) {
+		var out []*noftl.Sweep
+		for _, wl := range wls {
+			cfg.Workload = wl
+			res, err := fn(cfg)
+			if err != nil {
+				return nil, err
+			}
+			print(wl, res)
+			out = append(out, res)
+		}
+		return out, nil
+	}
+
+	experiments := []experiment{
+		{name: "fig3", run: func() error {
+			res, err := noftl.Figure3(noftl.Fig3Config{
+				TPCC:         noftl.TPCCConfig{Warehouses: *tpccWH},
+				TPCB:         noftl.TPCBConfig{Branches: *tpcbSF},
+				TPCE:         noftl.TPCEConfig{Customers: *tpceCu},
+				Transactions: *txs,
+				Seed:         *seed,
+			})
+			if err != nil {
+				return err
+			}
+			fmt.Println("Figure 3: GC overhead of FASTer vs NoFTL (off-line trace replay)")
+			fmt.Print(res.Table())
+			fmt.Println("\nLongevity (§5): NoFTL lifetime factor = relative erase reduction:")
+			for _, l := range res.Longevity() {
+				fmt.Printf("  %-6s %.2fx\n", l.Workload, l.Factor)
+			}
+			return nil
+		}},
+		{name: "fig4a", sweep: fig4("tpcc")},
+		{name: "fig4b", sweep: fig4("tpcb")},
+		{name: "headline", sweep: func() ([]*noftl.Sweep, error) {
+			return stackSweep(scaled(), []string{"tpcc", "tpcb"}, noftl.Headline, func(wl string, s *noftl.Sweep) {
+				fmt.Printf("Headline (%s): end-to-end TPS by storage stack\n", wl)
+				fmt.Print(s.Table())
+				fmt.Printf("NoFTL vs FASTer: %.2fx   pagemap vs DFTL: %.2fx\n\n",
+					s.Ratio("noftl", "faster", tps), s.Ratio("pagemap", "dftl", tps))
+			})
+		}},
+		{name: "latency", run: func() error {
+			res, err := noftl.Latency(noftl.LatencyConfig{Seed: *seed})
+			if err != nil {
+				return err
+			}
+			fmt.Println("§3: 4KB random-write latency (high utilisation)")
+			fmt.Print(res.Table())
+			return nil
+		}},
+		{name: "validate", run: func() error {
+			res, err := noftl.Validate(noftl.ValidateConfig{Seed: *seed})
+			if err != nil {
+				return err
+			}
+			fmt.Println("Demo 1: emulator timing vs analytic model (queue depth 1)")
+			fmt.Print(res.Table())
+			fmt.Printf("max model error: %.3f%%\n", res.MaxErrorPct())
+			fmt.Println("random-read IOPS scaling with dies:")
+			for _, d := range []int{1, 2, 4, 8} {
+				fmt.Printf("  %2d dies: %.0f IOPS\n", d, res.ScalingIOPS[d])
+			}
+			return nil
+		}},
+		{name: "delta", sweep: func() ([]*noftl.Sweep, error) {
+			return stackSweep(scaled(), []string{"tpcb", "tpcc"}, noftl.DeltaAblation, func(wl string, s *noftl.Sweep) {
+				fmt.Printf("Ablation A5 (%s): in-place appends (delta writes) vs full-page NoFTL vs FTL\n", wl)
+				fmt.Print(s.Table())
+				fmt.Printf("delta-NoFTL programs %.0f%% of full-page NoFTL's flash bytes per tx\n\n",
+					100*s.Ratio("noftl-delta", "noftl", (*noftl.ScenarioResult).BytesPerTx))
+			})
+		}},
+		// Drive size and scale factors default to the regions ablation's
+		// own utilization-tuned values (placement policy only matters
+		// under GC pressure).
+		{name: "regions", sweep: func() ([]*noftl.Sweep, error) {
+			cfg := noftl.StackConfig{Params: params(0, 0, *workers)}
+			return stackSweep(cfg, []string{"tpcb", "tpcc"}, noftl.RegionsAblation, func(wl string, s *noftl.Sweep) {
+				fmt.Printf("Ablation A6 (%s): single-policy NoFTL vs region-managed placement (WAL on log region)\n", wl)
+				fmt.Print(s.Table())
+				single, regions := s.Row("noftl-single"), s.Row("noftl-regions")
+				fmt.Printf("regions vs single-policy: %.2fx erases, WA %+.3f, %.2fx TPS\n\n",
+					s.Ratio("noftl-regions", "noftl-single", (*noftl.ScenarioResult).ErasesPerKTx),
+					regions.FTL.WriteAmplification()-single.FTL.WriteAmplification(),
+					s.Ratio("noftl-regions", "noftl-single", tps))
+			})
+		}},
+		{name: "sched", sweep: func() ([]*noftl.Sweep, error) {
+			cfg := noftl.SchedConfig{Params: params(*schedDies, *schedMB, *workers), Workload: "tpcb"}
+			cfg.TraceCmds = cfg.TraceCmds || *schedTrace
+			if !*tagged {
+				cfg.Modes = []noftl.SchedMode{noftl.SchedInline, noftl.SchedBackground, noftl.SchedPriorityMode}
+			}
+			res, err := noftl.SchedAblation(cfg)
+			if err != nil {
+				return nil, err
+			}
+			header := "Ablation A7 (tpcb): inline GC vs background GC vs priority scheduling"
+			if *tagged {
+				header += " vs per-request tags"
+			}
+			fmt.Println(header)
+			fmt.Print(res.Table())
+			fmt.Println("\nper-class queue waits:")
+			fmt.Print(res.WaitTable())
+			if *schedTrace {
+				for _, row := range res.Rows {
+					fmt.Printf("command log (%s):\n%s", row.Mode, row.CmdLog.Summary())
+				}
+			}
+			prio, inline := string(noftl.SchedPriorityMode), string(noftl.SchedInline)
+			fmt.Printf("bg-gc+prio vs inline-gc: %.2fx TPS, %.2fx p99 commit, %.2fx p99 read\n",
+				res.Ratio(prio, inline, tps), res.P99Ratio(prio, inline),
+				res.Ratio(prio, inline, (*noftl.ScenarioResult).ReadP99))
+			if *tagged {
+				fmt.Printf("per-request tags vs static routing: %.2fx p99 commit\n",
+					res.P99Ratio(string(noftl.SchedTagged), prio))
+			}
+			fmt.Println()
+			return []*noftl.Sweep{res}, nil
+		}},
+		{name: "htap", sweep: func() ([]*noftl.Sweep, error) {
+			p := params(*htapDies, *htapMB, *htapTerms)
+			p.Frames = *htapFrames
+			res, err := noftl.HTAPAblation(noftl.HTAPConfig{Params: p, Readers: *htapReaders, Window: *htapWindow})
+			if err != nil {
+				return nil, err
+			}
+			fmt.Println("Ablation A8 (tpcb+tpch): naive shared pool vs scan-resistant vs scan-resistant + prefetch")
+			fmt.Print(res.Table())
+			full, naive := "scan-resist+prefetch", "naive"
+			fmt.Printf("scan-resist+prefetch vs naive: %.2fx OLTP TPS, %.2fx p99 commit, %.2fx scan rows/s\n\n",
+				res.Ratio(full, naive, tps), res.P99Ratio(full, naive),
+				res.Ratio(full, naive, func(r *noftl.ScenarioResult) float64 { return r.RowsPerS }))
+			return []*noftl.Sweep{res}, nil
+		}},
+		{name: "qos", sweep: func() ([]*noftl.Sweep, error) {
+			res, err := noftl.QoS(noftl.QoSConfig{
+				Params:      params(*qosDies, *qosMB, *workers),
+				LowDeadline: noftl.SimTime(*qosLowDL) * noftl.Millisecond,
+			})
+			if err != nil {
+				return nil, err
+			}
+			fmt.Println("Per-request QoS: two TPC-B tenants, one declared low-priority")
+			fmt.Print(res.Table())
+			fmt.Printf("p99 commit split low/high: %.2fx (%d class-overriding dispatches)\n",
+				res.P99Ratio("qos/low", "qos/high"), res.Rows[0].Sched.Retagged)
+			if rep := res.Rows[0].Blame; rep != nil {
+				if cs, ok := rep.DominantMissedCulprit(noftl.TagLowPriority); ok {
+					fmt.Printf("low tenant's dominant latency culprit behind missed deadlines: %s (%.0f%% of blamed wait)\n",
+						cs.Class, 100*cs.Share)
+				}
+			}
+			fmt.Println()
+			return []*noftl.Sweep{res}, nil
+		}},
+		{name: "serve", sweep: func() ([]*noftl.Sweep, error) {
+			p := params(*serveDies, *serveMB, *serveClients)
+			p.Warm = noftl.SimTime(*serveWarmMs) * noftl.Millisecond
+			p.Settle = noftl.SimTime(*serveSettleMs) * noftl.Millisecond
+			res, err := noftl.ServeAblation(noftl.ServeAblationConfig{Params: p,
+				Rows: int64(*serveRows), BatchRate: *serveBatchRate})
+			if err != nil {
+				return nil, err
+			}
+			fmt.Println("Serving front: record sessions under admission control")
+			fmt.Println("(uncontended reference, then no-control vs rate-limit vs rate-limit+shed)")
+			fmt.Print(res.Table())
+			protection := func(c noftl.AdmissionControl) float64 {
+				return res.P99Ratio(c.String()+"/paying", "uncontended/paying")
+			}
+			fmt.Printf("paying p99 vs uncontended: no-control %.2fx, rate-limit %.2fx, rate-limit+shed %.2fx\n",
+				protection(noftl.ControlNone), protection(noftl.ControlRateLimit), protection(noftl.ControlFull))
+			full := res.Row(noftl.ControlFull.String()).Front
+			fmt.Printf("full regime: %d admitted, %d deprioritized, %d shed\n\n",
+				full.Admitted, full.Deprioritized, full.Shed)
+			return []*noftl.Sweep{res}, nil
+		}},
+		{name: "ablations", run: func() error {
+			for _, f := range []func(int64) (*noftl.AblationResult, error){
+				noftl.AblationGCPolicy, noftl.AblationDFTLCMT,
+				noftl.AblationFasterLog, noftl.AblationOverProvision,
+			} {
+				res, err := f(*seed)
+				if err != nil {
+					return err
+				}
+				fmt.Printf("ablation: %s\n%s\n", res.Name, res.Table())
+			}
+			return nil
+		}},
+	}
+	var names []string
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(names, "|")+"|all")
 	flag.Parse()
+
+	var selected []experiment
+	for _, e := range experiments {
+		if *exp == "all" || *exp == e.name {
+			selected = append(selected, e)
+		}
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(os.Stderr, "noftlbench: unknown experiment %q (valid: %s|all)\n", *exp, strings.Join(names, "|"))
+		os.Exit(2)
+	}
+	for _, a := range []struct{ flag, val string }{
+		{"trace-out", *traceOut}, {"metrics-out", *metricsOut}, {"blame-out", *blameOut},
+		{"folded-out", *foldedOut}, {"speedscope-out", *speedscopeOut}, {"health-out", *healthOut},
+		{"prom-out", *promOut}, {"monitor-addr", *monitorAddr},
+	} {
+		for _, e := range selected {
+			if a.val != "" && e.sweep == nil {
+				fmt.Fprintf(os.Stderr, "noftlbench: -%s needs a kernel-driven experiment; %s has no kernel run\n", a.flag, e.name)
+				os.Exit(2)
+			}
+		}
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -120,494 +387,97 @@ func main() {
 		}()
 	}
 
-	report := &noftl.JSONReport{Seed: *seed}
-
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		fmt.Printf("=== %s ===\n", name)
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-
-	// Telemetry and blame exports are shared by the sched, htap and qos
-	// experiments: the same flags select the pipeline, the same helpers
-	// print and write the chosen run's artifacts.
 	telemetryOn := *traceOut != "" || *metricsOut != ""
 	blameOn := *blameOut != "" || *foldedOut != "" || *speedscopeOut != ""
-	newTelemetryCfg := func() *noftl.TelemetryConfig {
-		return &noftl.TelemetryConfig{
-			SlowestK:    *slowestK,
-			RetainSpans: *traceOut != "",
-		}
+	healthOn := *healthOut != "" || *monitorAddr != ""
+	switch {
+	case telemetryOn:
+		obs.Telemetry = &noftl.TelemetryConfig{SlowestK: *slowestK, RetainSpans: *traceOut != ""}
+	case *promOut != "":
+		obs.Telemetry = &noftl.TelemetryConfig{}
 	}
-	exportTelemetry := func(name string, tel *noftl.Telemetry, log *noftl.CmdLog) error {
-		if tel == nil {
-			return nil
-		}
-		fmt.Printf("flight recorder (%s): slowest transactions by layer\n%s",
-			name, tel.SlowestTable())
-		if *traceOut != "" {
-			if err := writeFileWith(*traceOut, func(f *os.File) error {
-				return noftl.WriteTraceEvents(f, log, tel.Spans())
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("wrote Perfetto trace (%s) to %s\n", name, *traceOut)
-		}
-		if *metricsOut != "" {
-			if err := writeFileWith(*metricsOut, func(f *os.File) error {
-				return tel.WriteMetrics(f)
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("wrote metrics series (%s) to %s\n", name, *metricsOut)
-		}
-		return nil
+	// The Perfetto export draws its command timelines from the command
+	// log.
+	obs.TraceCmds = *traceOut != ""
+	if blameOn {
+		obs.Blame = &noftl.BlameConfig{SlowestK: *slowestK}
 	}
-	exportBlame := func(name string, rep *noftl.BlameReport) error {
-		if rep == nil {
-			return nil
+	if healthOn {
+		obs.Health = &noftl.HealthConfig{
+			Rules:       noftl.DefaultSLORules(64, 4, 50_000, 0.05),
+			MonitorAddr: *monitorAddr,
 		}
-		fmt.Printf("blame matrix (%s): top victim x culprit interference\n%s",
-			name, rep.TopTable(12))
-		fmt.Printf("slowest spans (%s) with blame attribution:\n%s",
-			name, rep.SlowestTable(8))
-		if *blameOut != "" {
-			if err := writeFileWith(*blameOut, func(f *os.File) error {
-				return rep.WriteJSON(f)
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("wrote blame report (%s) to %s\n", name, *blameOut)
-		}
-		if *foldedOut != "" {
-			if err := writeFileWith(*foldedOut, func(f *os.File) error {
-				return rep.WriteFolded(f)
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("wrote folded stacks (%s) to %s\n", name, *foldedOut)
-		}
-		if *speedscopeOut != "" {
-			if err := writeFileWith(*speedscopeOut, func(f *os.File) error {
-				return rep.WriteSpeedscope(f)
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("wrote speedscope profile (%s) to %s\n", name, *speedscopeOut)
-		}
-		return nil
 	}
 
-	run("fig3", func() error {
-		res, err := noftl.Figure3(noftl.Fig3Config{
-			TPCC:         noftl.TPCCConfig{Warehouses: *tpccWH},
-			TPCB:         noftl.TPCBConfig{Branches: *tpcbSF},
-			TPCE:         noftl.TPCEConfig{Customers: *tpceCu},
-			Transactions: *txs,
-			Seed:         *seed,
+	// export writes the artifacts of a kernel-driven experiment's last
+	// run.
+	export := func(s *noftl.Sweep) error {
+		last := &s.Rows[len(s.Rows)-1]
+		// write reports each artifact it writes; after a failure it
+		// writes nothing more and export returns that failure.
+		var werr error
+		write := func(path, what string, fn func(*os.File) error) {
+			if path == "" || werr != nil {
+				return
+			}
+			if werr = writeFileWith(path, fn); werr == nil {
+				fmt.Printf("wrote %s (%s) to %s\n", what, last.Mode, path)
+			}
+		}
+		if (telemetryOn || blameOn) && last.Tel != nil {
+			fmt.Printf("flight recorder (%s): slowest transactions by layer\n%s", last.Mode, last.Tel.SlowestTable())
+		}
+		write(*traceOut, "Perfetto trace", func(f *os.File) error {
+			return noftl.WriteTraceEvents(f, last.CmdLog, last.Tel.Spans())
 		})
-		if err != nil {
-			return err
+		write(*metricsOut, "metrics series", func(f *os.File) error { return last.Tel.WriteMetrics(f) })
+		if rep := last.Blame; rep != nil {
+			fmt.Printf("blame matrix (%s): top victim x culprit interference\n%s", last.Mode, rep.TopTable(12))
+			fmt.Printf("slowest spans (%s) with blame attribution:\n%s", last.Mode, rep.SlowestTable(8))
+			write(*blameOut, "blame report", func(f *os.File) error { return rep.WriteJSON(f) })
+			write(*foldedOut, "folded stacks", func(f *os.File) error { return rep.WriteFolded(f) })
+			write(*speedscopeOut, "speedscope profile", func(f *os.File) error { return rep.WriteSpeedscope(f) })
 		}
-		fmt.Println("Figure 3: GC overhead of FASTer vs NoFTL (off-line trace replay)")
-		fmt.Print(res.Table())
-		fmt.Println("\nLongevity (§5): NoFTL lifetime factor = relative erase reduction:")
-		for _, l := range res.Longevity() {
-			fmt.Printf("  %-6s %.2fx\n", l.Workload, l.Factor)
-		}
-		return nil
-	})
-
-	fig4 := func(wl string) func() error {
-		return func() error {
-			cfg := noftl.Fig4Config{
-				Workload: wl,
-				Workers:  *workers,
-				DriveMB:  *driveMB,
-				Measure:  noftl.SimTime(*measure) * noftl.Second,
-				Seed:     *seed,
-			}
-			if *dies != "" {
-				cfg.Dies = parseInts(*dies)
-			}
-			res, err := noftl.Figure4(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("Figure 4 (%s): TPS vs dies, global vs die-wise db-writers\n", wl)
-			fmt.Print(res.Table())
-			fmt.Printf("max die-wise speedup: %.2fx\n", res.Speedup())
-			return nil
-		}
-	}
-	run("fig4a", fig4("tpcc"))
-	run("fig4b", fig4("tpcb"))
-
-	run("headline", func() error {
-		for _, wl := range []string{"tpcc", "tpcb"} {
-			res, err := noftl.Headline(noftl.HeadlineConfig{
-				Workload: wl,
-				Workers:  *workers,
-				DriveMB:  *driveMB,
-				Measure:  noftl.SimTime(*measure) * noftl.Second,
-				Seed:     *seed,
-				TPCC:     noftl.TPCCConfig{Warehouses: *tpccWH},
-				TPCB:     noftl.TPCBConfig{Branches: *tpcbSF},
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("Headline (%s): end-to-end TPS by storage stack\n", wl)
-			fmt.Print(res.Table())
-			for _, row := range res.Rows {
-				report.Add("headline", wl, row.Stack, &row.Result)
-			}
-			fmt.Printf("NoFTL vs FASTer: %.2fx   pagemap vs DFTL: %.2fx\n\n",
-				res.NoFTLSpeedupOverFaster(), res.DFTLSlowdownVsPagemap())
-		}
-		return nil
-	})
-
-	run("latency", func() error {
-		res, err := noftl.Latency(noftl.LatencyConfig{Seed: *seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println("§3: 4KB random-write latency (high utilisation)")
-		fmt.Print(res.Table())
-		return nil
-	})
-
-	run("validate", func() error {
-		res, err := noftl.Validate(noftl.ValidateConfig{Seed: *seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println("Demo 1: emulator timing vs analytic model (queue depth 1)")
-		fmt.Print(res.Table())
-		fmt.Printf("max model error: %.3f%%\n", res.MaxErrorPct())
-		fmt.Println("random-read IOPS scaling with dies:")
-		for _, d := range []int{1, 2, 4, 8} {
-			fmt.Printf("  %2d dies: %.0f IOPS\n", d, res.ScalingIOPS[d])
-		}
-		return nil
-	})
-
-	run("delta", func() error {
-		for _, wl := range []string{"tpcb", "tpcc"} {
-			res, err := noftl.DeltaAblation(noftl.DeltaConfig{
-				Workload: wl,
-				Workers:  *workers,
-				DriveMB:  *driveMB,
-				Measure:  noftl.SimTime(*measure) * noftl.Second,
-				Seed:     *seed,
-				TPCC:     noftl.TPCCConfig{Warehouses: *tpccWH},
-				TPCB:     noftl.TPCBConfig{Branches: *tpcbSF},
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("Ablation A5 (%s): in-place appends (delta writes) vs full-page NoFTL vs FTL\n", wl)
-			fmt.Print(res.Table())
-			fmt.Printf("delta-NoFTL programs %.0f%% of full-page NoFTL's flash bytes per tx\n\n",
-				100*res.BytesPerTxRatio())
-			for _, row := range res.Rows {
-				report.Add("delta", wl, row.Stack, &row.Result)
-			}
-		}
-		return nil
-	})
-
-	run("regions", func() error {
-		for _, wl := range []string{"tpcb", "tpcc"} {
-			// Drive size and scale factors default to the ablation's
-			// own utilization-tuned values (placement policy only
-			// matters under GC pressure).
-			res, err := noftl.RegionsAblation(noftl.RegionsConfig{
-				Workload: wl,
-				Workers:  *workers,
-				Measure:  noftl.SimTime(*measure) * noftl.Second,
-				Seed:     *seed,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("Ablation A6 (%s): single-policy NoFTL vs region-managed placement (WAL on log region)\n", wl)
-			fmt.Print(res.Table())
-			if rt := res.RegionTable(); rt != "" {
-				fmt.Println("per-region breakdown (noftl-regions):")
-				fmt.Print(rt)
-			}
-			fmt.Printf("regions vs single-policy: %.2fx erases, WA %+.3f, %.2fx TPS\n\n",
-				res.EraseRatio(), -res.WADelta(), res.TPSRatio())
-			for _, row := range res.Rows {
-				report.Add("regions", wl, row.Stack, &row.Result)
-			}
-		}
-		return nil
-	})
-
-	run("sched", func() error {
-		cfg := noftl.SchedConfig{
-			Workload:  "tpcb",
-			Dies:      *schedDies,
-			DriveMB:   *schedMB,
-			Workers:   *workers,
-			Measure:   noftl.SimTime(*measure) * noftl.Second,
-			Seed:      *seed,
-			TraceCmds: *schedTrace,
-		}
-		if telemetryOn {
-			cfg.Telemetry = newTelemetryCfg()
-			// The Perfetto export draws its command timelines from the
-			// command log.
-			if *traceOut != "" {
-				cfg.TraceCmds = true
-			}
-		}
-		if blameOn {
-			cfg.Blame = &noftl.BlameConfig{SlowestK: *slowestK}
-		}
-		healthOn := *healthOut != "" || *promOut != "" || *monitorAddr != ""
+		var now noftl.SimTime
 		if healthOn {
-			cfg.Health = &noftl.HealthConfig{
-				Rules:       noftl.DefaultSLORules(64, 4, 50_000, 0.05),
-				MonitorAddr: *monitorAddr,
+			fmt.Println("device health:")
+			fmt.Print(s.HealthTable())
+			if at := s.AlertTable(); at != "" {
+				fmt.Println("SLO alerts:")
+				fmt.Print(at)
+			}
+			now = last.Health.TNs
+		}
+		write(*healthOut, "health snapshot", func(f *os.File) error { return noftl.WriteHealthSnapshot(f, last.Health) })
+		write(*promOut, "Prometheus dump", func(f *os.File) error { return noftl.WritePrometheus(f, last.Tel.Reg, now) })
+		return werr
+	}
+
+	report := &noftl.JSONReport{Seed: *seed}
+	for _, e := range selected {
+		fmt.Printf("=== %s ===\n", e.name)
+		err := func() error {
+			if e.sweep == nil {
+				return e.run()
 			}
 			if *monitorAddr != "" {
 				fmt.Printf("live monitor on http://%s (/metrics /health /alerts)\n", *monitorAddr)
 			}
-		}
-		if !*tagged {
-			cfg.Modes = []noftl.SchedMode{noftl.SchedInline, noftl.SchedBackground,
-				noftl.SchedPriorityMode}
-		}
-		res, err := noftl.SchedAblation(cfg)
-		if err != nil {
-			return err
-		}
-		header := "Ablation A7 (tpcb): inline GC vs background GC vs priority scheduling"
-		if *tagged {
-			header += " vs per-request tags"
-		}
-		fmt.Println(header)
-		fmt.Print(res.Table())
-		fmt.Println("\nper-class queue waits:")
-		fmt.Print(res.WaitTable())
-		if *schedTrace {
-			for _, row := range res.Rows {
-				if row.CmdLog != nil {
-					fmt.Printf("command log (%s):\n%s", row.Mode, row.CmdLog.Summary())
-				}
-			}
-		}
-		fmt.Printf("bg-gc+prio vs inline-gc: %.2fx TPS, %.2fx p99 commit, %.2fx p99 read\n",
-			res.TPSRatio(), res.CommitP99Ratio(), res.ReadP99Ratio())
-		if *tagged {
-			fmt.Printf("per-request tags vs static routing: %.2fx p99 commit\n", res.TaggedCommitP99Ratio())
-		}
-		fmt.Println()
-		for i := range res.Rows {
-			report.AddSched(res.Workload, &res.Rows[i])
-		}
-		if (telemetryOn || blameOn) && len(res.Rows) > 0 {
-			// Export the last mode's run — with -tagged (the default)
-			// that is the fully scheduled, descriptor-dispatched regime.
-			last := &res.Rows[len(res.Rows)-1]
-			if err := exportTelemetry(string(last.Mode), last.Tel, last.CmdLog); err != nil {
-				return err
-			}
-			if err := exportBlame(string(last.Mode), last.Blame); err != nil {
-				return err
-			}
-		}
-		if healthOn && len(res.Rows) > 0 {
-			last := &res.Rows[len(res.Rows)-1]
-			fmt.Println("device health:")
-			fmt.Print(res.HealthTable())
-			alerts := 0
-			for _, row := range res.Rows {
-				if row.Health != nil {
-					alerts += len(row.Health.Alerts)
-				}
-			}
-			if alerts > 0 {
-				fmt.Println("SLO alerts:")
-				fmt.Print(res.AlertTable())
-			}
-			if *healthOut != "" && last.Health != nil {
-				if err := writeFileWith(*healthOut, func(f *os.File) error {
-					return noftl.WriteHealthSnapshot(f, last.Health)
-				}); err != nil {
-					return err
-				}
-				fmt.Printf("wrote health snapshot (%s) to %s\n", last.Mode, *healthOut)
-			}
-			if *promOut != "" && last.Tel != nil && last.Health != nil {
-				if err := writeFileWith(*promOut, func(f *os.File) error {
-					return noftl.WritePrometheus(f, last.Tel.Reg, last.Health.TNs)
-				}); err != nil {
-					return err
-				}
-				fmt.Printf("wrote Prometheus dump (%s) to %s\n", last.Mode, *promOut)
-			}
-		}
-		return nil
-	})
-
-	run("htap", func() error {
-		cfg := noftl.HTAPConfig{
-			Dies:      *htapDies,
-			DriveMB:   *htapMB,
-			Terminals: *htapTerms,
-			Readers:   *htapReaders,
-			Frames:    *htapFrames,
-			Window:    *htapWindow,
-			Measure:   noftl.SimTime(*measure) * noftl.Second,
-			Seed:      *seed,
-		}
-		if telemetryOn {
-			cfg.Telemetry = newTelemetryCfg()
-			if *traceOut != "" {
-				cfg.TraceCmds = true
-			}
-		}
-		if blameOn {
-			cfg.Blame = &noftl.BlameConfig{SlowestK: *slowestK}
-		}
-		res, err := noftl.HTAPAblation(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Ablation A8 (tpcb+tpch): naive shared pool vs scan-resistant vs scan-resistant + prefetch")
-		fmt.Print(res.Table())
-		fmt.Printf("scan-resist+prefetch vs naive: %.2fx OLTP TPS, %.2fx p99 commit, %.2fx scan rows/s\n\n",
-			res.TPSRatio(), res.CommitP99Ratio(), res.ScanRatio())
-		for i := range res.Rows {
-			report.AddHTAP(&res.Rows[i])
-		}
-		if (telemetryOn || blameOn) && len(res.Rows) > 0 {
-			last := &res.Rows[len(res.Rows)-1]
-			if err := exportTelemetry(string(last.Mode), last.Tel, last.CmdLog); err != nil {
-				return err
-			}
-			if err := exportBlame(string(last.Mode), last.Blame); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-
-	run("qos", func() error {
-		cfg := noftl.QoSConfig{
-			Dies:        *qosDies,
-			DriveMB:     *qosMB,
-			Workers:     *workers,
-			Measure:     noftl.SimTime(*measure) * noftl.Second,
-			Seed:        *seed,
-			LowDeadline: noftl.SimTime(*qosLowDL) * noftl.Millisecond,
-		}
-		if telemetryOn {
-			cfg.Telemetry = newTelemetryCfg()
-			if *traceOut != "" {
-				cfg.TraceCmds = true
-			}
-		}
-		if blameOn {
-			cfg.Blame = &noftl.BlameConfig{SlowestK: *slowestK}
-		}
-		res, err := noftl.QoS(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Per-request QoS: two TPC-B tenants, one declared low-priority")
-		fmt.Print(res.Table())
-		fmt.Printf("p99 commit split low/high: %.2fx (%d class-overriding dispatches)\n\n",
-			res.P99Ratio(), res.Sched.Retagged)
-		if err := exportTelemetry("qos", res.Tel, res.CmdLog); err != nil {
-			return err
-		}
-		if res.Blame != nil {
-			if cs, ok := res.Blame.DominantMissedCulprit(noftl.TagLowPriority); ok {
-				fmt.Printf("low tenant's dominant latency culprit behind missed deadlines: %s (%.0f%% of blamed wait)\n",
-					cs.Class, 100*cs.Share)
-			}
-		}
-		if err := exportBlame("qos", res.Blame); err != nil {
-			return err
-		}
-		report.AddQoS(res)
-		return nil
-	})
-
-	run("serve", func() error {
-		cfg := noftl.ServeAblationConfig{
-			Dies:      *serveDies,
-			DriveMB:   *serveMB,
-			Clients:   *serveClients,
-			Rows:      int64(*serveRows),
-			Warm:      noftl.SimTime(*serveWarmMs) * noftl.Millisecond,
-			Settle:    noftl.SimTime(*serveSettleMs) * noftl.Millisecond,
-			Measure:   noftl.SimTime(*measure) * noftl.Second,
-			Seed:      *seed,
-			BatchRate: *serveBatchRate,
-		}
-		if telemetryOn {
-			cfg.Telemetry = newTelemetryCfg()
-		}
-		res, err := noftl.ServeAblation(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Serving front: record sessions under admission control")
-		fmt.Println("(uncontended reference, then no-control vs rate-limit vs rate-limit+shed)")
-		fmt.Print(res.Table())
-		fmt.Printf("paying p99 vs uncontended: no-control %.2fx, rate-limit %.2fx, rate-limit+shed %.2fx\n",
-			res.ProtectionRatio(noftl.ControlNone.String()),
-			res.ProtectionRatio(noftl.ControlRateLimit.String()),
-			res.ProtectionRatio(noftl.ControlFull.String()))
-		if full := res.Row(noftl.ControlFull.String()); full != nil {
-			fmt.Printf("full regime: %d admitted, %d deprioritized, %d shed\n",
-				full.Front.Admitted, full.Front.Deprioritized, full.Front.Shed)
-		}
-		fmt.Println()
-		report.AddServe(res)
-		last := res.Row(noftl.ControlFull.String())
-		if telemetryOn && last != nil {
-			if err := exportTelemetry(last.Mode, last.Tel, nil); err != nil {
-				return err
-			}
-		}
-		if *promOut != "" && last != nil && last.Tel != nil {
-			if err := writeFileWith(*promOut, func(f *os.File) error {
-				return noftl.WritePrometheus(f, last.Tel.Reg, 0)
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("wrote Prometheus dump (%s) to %s\n", last.Mode, *promOut)
-		}
-		return nil
-	})
-
-	run("ablations", func() error {
-		for _, f := range []func(int64) (*noftl.AblationResult, error){
-			noftl.AblationGCPolicy, noftl.AblationDFTLCMT,
-			noftl.AblationFasterLog, noftl.AblationOverProvision,
-		} {
-			res, err := f(*seed)
+			sweeps, err := e.sweep()
 			if err != nil {
 				return err
 			}
-			fmt.Printf("ablation: %s\n%s\n", res.Name, res.Table())
+			for _, s := range sweeps {
+				report.Add(s)
+			}
+			return export(sweeps[len(sweeps)-1])
+		}()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
+			os.Exit(1)
 		}
-		return nil
-	})
+		fmt.Println()
+	}
 
 	if *jsonOut != "" {
 		if err := report.Write(*jsonOut); err != nil {

@@ -17,21 +17,23 @@ import (
 
 func main() {
 	res, err := noftl.QoS(noftl.QoSConfig{
-		Dies:    8,
-		DriveMB: 64,
-		Workers: 16,
-		Writers: 8,
-		Frames:  384,
-		Warm:    1 * noftl.Second,
-		Measure: 4 * noftl.Second,
-		Seed:    42,
+		Params: noftl.Params{
+			Dies:    8,
+			DriveMB: 64,
+			Workers: 16,
+			Writers: 8,
+			Frames:  384,
+			Warm:    1 * noftl.Second,
+			Measure: 4 * noftl.Second,
+			Seed:    42,
+			// The blame engine implies telemetry span retention and a
+			// system-owned command log; tag names default to the demo's
+			// tenant names (high, low, writers, ckpt).
+			Observe: noftl.Observe{Blame: &noftl.BlameConfig{SlowestK: 16}},
+		},
 		// Stamp the low tenant with a deadline too, so its SLO misses
 		// are measured — and blame-attributable.
 		LowDeadline: 3 * noftl.Millisecond,
-		// The blame engine implies telemetry span retention and a
-		// system-owned command log; tag names default to the demo's
-		// tenant names (high, low, writers, ckpt).
-		Blame: &noftl.BlameConfig{SlowestK: 16},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -39,9 +41,9 @@ func main() {
 
 	fmt.Println("Per-request QoS: two TPC-B tenants, one declared low-priority")
 	fmt.Print(res.Table())
-	fmt.Printf("\np99 commit split low/high: %.2fx\n\n", res.P99Ratio())
+	fmt.Printf("\np99 commit split low/high: %.2fx\n\n", res.P99Ratio("qos/low", "qos/high"))
 
-	rep := res.Blame
+	rep := res.Rows[0].Blame
 
 	// Step 1: the headline — of the wait behind the low tenant's missed
 	// deadlines, which culprit class dominates?

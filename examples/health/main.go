@@ -41,23 +41,24 @@ func main() {
 		fmt.Printf("live monitor: http://%s/metrics /health /alerts\n\n", addr)
 	}
 
-	res, err := noftl.RunTPS(sys, noftl.NewTPCB(noftl.TPCBConfig{
-		Branches: 7, AccountsPerBranch: 6000,
-	}), noftl.TPSConfig{
-		Workers: 8, Writers: 4,
+	res, err := noftl.RunScenario(sys, noftl.Scenario{
+		Groups: []noftl.TerminalGroup{{
+			Workload: noftl.NewTPCB(noftl.TPCBConfig{Branches: 7, AccountsPerBranch: 6000}),
+			N:        8, Seed: 42,
+			// Tight per-transaction deadlines so the burn-rate rule has a
+			// budget to burn.
+			Deadline: 2 * noftl.Millisecond,
+		}},
+		Writers:     4,
 		Association: noftl.AssocDieWise,
 		Warm:        500 * noftl.Millisecond,
 		Measure:     3 * noftl.Second,
-		Seed:        42,
-		// Tight per-transaction deadlines so the burn-rate rule has a
-		// budget to burn.
-		DeadlineAfter: func(id int) noftl.SimTime { return 2 * noftl.Millisecond },
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	snap := sys.Health.Snapshot(sys.K.Now())
+	snap := res.Health // taken at the end of the run
 	fmt.Printf("%.0f TPS on %d dies; device health at t=%s:\n\n",
 		res.TPS, snap.Device.Dies, snap.TNs)
 

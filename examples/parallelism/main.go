@@ -27,16 +27,15 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := noftl.RunTPS(sys,
-				noftl.NewTPCB(noftl.TPCBConfig{Branches: 16}),
-				noftl.TPSConfig{
-					Workers:     8,
-					Writers:     dies,
-					Association: assoc,
-					Warm:        noftl.Second,
-					Measure:     4 * noftl.Second,
-					Seed:        11,
-				})
+			res, err := noftl.RunScenario(sys, noftl.Scenario{
+				Groups: []noftl.TerminalGroup{{
+					Workload: noftl.NewTPCB(noftl.TPCBConfig{Branches: 16}), N: 8, Seed: 11,
+				}},
+				Writers:     dies,
+				Association: assoc,
+				Warm:        noftl.Second,
+				Measure:     4 * noftl.Second,
+			})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -27,16 +27,15 @@ func main() {
 		if stack == noftl.StackNoFTL {
 			assoc = noftl.AssocDieWise // the DBMS can see the dies
 		}
-		res, err := noftl.RunTPS(sys,
-			noftl.NewTPCC(noftl.TPCCConfig{Warehouses: 1}),
-			noftl.TPSConfig{
-				Workers:     8,
-				Writers:     4,
-				Association: assoc,
-				Warm:        noftl.Second,
-				Measure:     4 * noftl.Second,
-				Seed:        7,
-			})
+		res, err := noftl.RunScenario(sys, noftl.Scenario{
+			Groups: []noftl.TerminalGroup{{
+				Workload: noftl.NewTPCC(noftl.TPCCConfig{Warehouses: 1}), N: 8, Seed: 7,
+			}},
+			Writers:     4,
+			Association: assoc,
+			Warm:        noftl.Second,
+			Measure:     4 * noftl.Second,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,26 +9,27 @@ import (
 	"noftl/internal/region"
 	"noftl/internal/sim"
 	"noftl/internal/storage"
+	"noftl/internal/system"
 	"noftl/internal/workload"
 )
 
-// smallTPS keeps DES windows short for unit tests.
-func smallTPS(workers, writers int, assoc storage.WriterAssociation) TPSConfig {
-	return TPSConfig{
-		Workers:     workers,
+// smallScenario keeps DES windows short for unit tests: one group of
+// terminals running wl, die-wise db-writers.
+func smallScenario(wl workload.Workload, workers, writers int) Scenario {
+	return Scenario{
+		Groups:      []Group{{Workload: wl, N: workers, Seed: 1}},
 		Writers:     writers,
-		Association: assoc,
+		Association: storage.AssocDieWise,
 		Warm:        200 * sim.Millisecond,
 		Measure:     sim.Second,
-		Seed:        1,
 	}
 }
 
 func TestBuildSystemAllStacks(t *testing.T) {
-	for _, stack := range []Stack{StackNoFTL, StackFaster, StackDFTL, StackPagemap,
-		StackNoFTLSingle, StackNoFTLRegions} {
+	for _, stack := range []system.Stack{system.StackNoFTL, system.StackFaster, system.StackDFTL,
+		system.StackPagemap, system.StackNoFTLSingle, system.StackNoFTLRegions} {
 		devCfg := flash.EmulatorConfig(2, 24, nand.SLC)
-		sys, err := BuildSystem(stack, devCfg, 64)
+		sys, err := system.Build(stack, devCfg, 64)
 		if err != nil {
 			t.Fatalf("%s: %v", stack, err)
 		}
@@ -36,7 +37,7 @@ func TestBuildSystemAllStacks(t *testing.T) {
 			t.Fatalf("%s: incomplete system", stack)
 		}
 	}
-	if _, err := BuildSystem(Stack("bogus"), flash.EmulatorConfig(1, 8, nand.SLC), 16); err == nil {
+	if _, err := system.Build(system.Stack("bogus"), flash.EmulatorConfig(1, 8, nand.SLC), 16); err == nil {
 		t.Error("bogus stack accepted")
 	}
 }
@@ -45,23 +46,23 @@ func TestBuildSystemAllStacks(t *testing.T) {
 // short DES measurement: the WAL lives on flash either way (window or
 // native log region) and both must push transactions.
 func TestRegionsStacksRunTPS(t *testing.T) {
-	report := &JSONReport{Seed: 1}
-	for _, stack := range []Stack{StackNoFTLSingle, StackNoFTLRegions} {
+	sweep := &Sweep{Experiment: "regions", Workload: "tpcb", spec: regionsSpec}
+	for _, stack := range []system.Stack{system.StackNoFTLSingle, system.StackNoFTLRegions} {
 		devCfg := flash.EmulatorConfig(4, 48, nand.SLC)
-		sys, err := BuildSystem(stack, devCfg, 128)
+		sys, err := system.Build(stack, devCfg, 128)
 		if err != nil {
 			t.Fatalf("%s: %v", stack, err)
 		}
 		wl := workload.NewTPCB(workload.TPCBConfig{Branches: 4, AccountsPerBranch: 200})
-		r, err := RunTPS(sys, wl, smallTPS(4, 4, storage.AssocDieWise))
+		r, err := RunScenario(sys, smallScenario(wl, 4, 4))
 		if err != nil {
 			t.Fatalf("%s: %v", stack, err)
 		}
 		if r.TPS <= 0 || r.Committed <= 0 {
 			t.Fatalf("%s: TPS = %v committed = %d", stack, r.TPS, r.Committed)
 		}
-		report.Add("regions", "tpcb", stack, r)
-		if stack == StackNoFTLRegions {
+		sweep.Rows = append(sweep.Rows, *r)
+		if stack == system.StackNoFTLRegions {
 			if sys.Regions == nil {
 				t.Fatal("regions stack has no manager")
 			}
@@ -72,17 +73,19 @@ func TestRegionsStacksRunTPS(t *testing.T) {
 			}
 		}
 	}
+	report := &JSONReport{Seed: 1}
+	report.Add(sweep)
 	checkGolden(t, "regions", report)
 }
 
 func TestRunTPSProducesThroughput(t *testing.T) {
 	devCfg := flash.EmulatorConfig(4, 48, nand.SLC)
-	sys, err := BuildSystem(StackNoFTL, devCfg, 128)
+	sys, err := system.Build(system.StackNoFTL, devCfg, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wl := workload.NewTPCB(workload.TPCBConfig{Branches: 4, AccountsPerBranch: 200})
-	r, err := RunTPS(sys, wl, smallTPS(4, 4, storage.AssocDieWise))
+	r, err := RunScenario(sys, smallScenario(wl, 4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,21 +134,23 @@ func TestFigure3SmokeShape(t *testing.T) {
 
 func TestFigure4SmokeShape(t *testing.T) {
 	res, err := Figure4(Fig4Config{
-		Workload: "tpcb",
-		Dies:     []int{1, 4},
-		Workers:  8,
-		DriveMB:  48,
-		Frames:   128,
-		Warm:     200 * sim.Millisecond,
-		Measure:  sim.Second,
-		TPCB:     workload.TPCBConfig{Branches: 4, AccountsPerBranch: 200},
-		Seed:     5,
+		Params: Params{
+			Workers: 8,
+			DriveMB: 48,
+			Frames:  128,
+			Warm:    200 * sim.Millisecond,
+			Measure: sim.Second,
+			Seed:    5,
+		},
+		Workload:  "tpcb",
+		DieCounts: []int{1, 4},
+		TPCB:      workload.TPCBConfig{Branches: 4, AccountsPerBranch: 200},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Global.Y) != 2 || len(res.DieWise.Y) != 2 {
-		t.Fatalf("points: %+v", res.Points)
+		t.Fatalf("points: global %v die-wise %v", res.Global.Y, res.DieWise.Y)
 	}
 	for i, tps := range res.Global.Y {
 		if tps <= 0 || res.DieWise.Y[i] <= 0 {
@@ -184,8 +189,8 @@ func TestLatencySmokeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fh := res.HistOf(StackFaster)
-	nh := res.HistOf(StackNoFTL)
+	fh := res.HistOf(system.StackFaster)
+	nh := res.HistOf(system.StackNoFTL)
 	if fh == nil || nh == nil {
 		t.Fatal("missing histograms")
 	}
@@ -238,17 +243,19 @@ func TestHeadlineSmokeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("headline comparison runs four full systems")
 	}
-	res, err := Headline(HeadlineConfig{
+	res, err := Headline(StackConfig{
+		Params: Params{
+			Dies:    4,
+			DriveMB: 48,
+			Workers: 8,
+			Writers: 4,
+			Frames:  128,
+			Warm:    200 * sim.Millisecond,
+			Measure: 2 * sim.Second,
+			Seed:    7,
+		},
 		Workload: "tpcb",
-		Dies:     4,
-		DriveMB:  48,
-		Workers:  8,
-		Writers:  4,
-		Frames:   128,
-		Warm:     200 * sim.Millisecond,
-		Measure:  2 * sim.Second,
 		TPCB:     workload.TPCBConfig{Branches: 8, AccountsPerBranch: 1000},
-		Seed:     7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,24 +264,22 @@ func TestHeadlineSmokeShape(t *testing.T) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	for _, row := range res.Rows {
-		if row.Result.TPS <= 0 {
+		if row.TPS <= 0 {
 			t.Fatalf("%s: zero TPS", row.Stack)
 		}
 	}
 	// The paper's ordering: NoFTL beats the hybrid FTL stack; the
 	// thrashing-CMT DFTL trails pure page mapping.
-	if sp := res.NoFTLSpeedupOverFaster(); sp <= 1.0 {
+	if sp := res.Ratio("noftl", "faster", tps); sp <= 1.0 {
 		t.Errorf("NoFTL/FASTer speedup = %.2f, want > 1\n%s", sp, res.Table())
 	}
-	if sl := res.DFTLSlowdownVsPagemap(); sl <= 1.0 {
+	if sl := res.Ratio("pagemap", "dftl", tps); sl <= 1.0 {
 		t.Errorf("pagemap/DFTL = %.2f, want > 1\n%s", sl, res.Table())
 	}
 	if !strings.Contains(res.Table(), "noftl") {
 		t.Error("table missing")
 	}
 	report := &JSONReport{Seed: 7}
-	for _, row := range res.Rows {
-		report.Add("headline", "tpcb", row.Stack, &row.Result)
-	}
+	report.Add(res)
 	checkGolden(t, "headline", report)
 }

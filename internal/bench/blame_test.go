@@ -51,29 +51,31 @@ func checkGolden(t *testing.T, name string, report *JSONReport) {
 // invalidates the golden files (rerun with -update).
 func blameQoSConfig() QoSConfig {
 	return QoSConfig{
-		Dies:        4,
-		DriveMB:     32,
-		Workers:     12,
-		Writers:     4,
-		Frames:      128,
-		Warm:        1 * sim.Second,
-		Measure:     2 * sim.Second,
-		Seed:        42,
+		Params: Params{
+			Dies:    4,
+			DriveMB: 32,
+			Workers: 12,
+			Writers: 4,
+			Frames:  128,
+			Warm:    1 * sim.Second,
+			Measure: 2 * sim.Second,
+			Seed:    42,
+			Observe: Observe{Blame: &blame.Config{SlowestK: 8}},
+		},
 		LowDeadline: 3 * sim.Millisecond,
-		Blame:       &blame.Config{SlowestK: 8},
 	}
 }
 
 var (
 	blameOnce sync.Once
-	blameRes  *QoSResult
+	blameRes  *Result
 	blameErr  error
 )
 
 // blameQoS runs the shared scenario once per test binary.
-func blameQoS(t *testing.T) *QoSResult {
+func blameQoS(t *testing.T) *Result {
 	t.Helper()
-	blameOnce.Do(func() { blameRes, blameErr = QoS(blameQoSConfig()) })
+	blameOnce.Do(func() { blameRes, blameErr = runQoS(blameQoSConfig()) })
 	if blameErr != nil {
 		t.Fatalf("qos: %v", blameErr)
 	}
@@ -81,6 +83,15 @@ func blameQoS(t *testing.T) *QoSResult {
 		t.Fatal("qos: no blame report")
 	}
 	return blameRes
+}
+
+// runQoS runs the QoS demo and returns its single run.
+func runQoS(cfg QoSConfig) (*Result, error) {
+	s, err := QoS(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &s.Rows[0], nil
 }
 
 // TestBlameSumsExactlyToQueueWait is the acceptance core: for every
@@ -138,7 +149,7 @@ func TestBlameSumsExactlyToQueueWait(t *testing.T) {
 func TestBlameIdentifiesBackgroundCulprit(t *testing.T) {
 	res := blameQoS(t)
 	rep := res.Blame
-	if res.Low.DeadlineMisses == 0 {
+	if res.Group("low").DeadlineMisses == 0 {
 		t.Fatal("low tenant missed no deadlines; scenario lost its inversion")
 	}
 	cs, ok := rep.DominantMissedCulprit(TagLowPriority)
@@ -188,7 +199,7 @@ func TestBlameIdentifiesBackgroundCulprit(t *testing.T) {
 // them against committed golden files (refresh with go test -update).
 func TestBlameExportsDeterministic(t *testing.T) {
 	first := blameQoS(t).Blame
-	again, err := QoS(blameQoSConfig())
+	again, err := runQoS(blameQoSConfig())
 	if err != nil {
 		t.Fatalf("rerun: %v", err)
 	}

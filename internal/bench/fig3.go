@@ -41,9 +41,7 @@ func (c Fig3Config) withDefaults() Fig3Config {
 	if c.TPCE.Customers == 0 {
 		c.TPCE = workload.TPCEConfig{Customers: 100}
 	}
-	if c.Transactions <= 0 {
-		c.Transactions = 4000
-	}
+	c.Transactions = orDefault(c.Transactions, 4000)
 	return c
 }
 

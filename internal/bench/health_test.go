@@ -14,6 +14,7 @@ import (
 	"noftl/internal/sched"
 	"noftl/internal/sim"
 	"noftl/internal/storage"
+	"noftl/internal/system"
 	"noftl/internal/telemetry"
 	"noftl/internal/telemetry/health"
 	"noftl/internal/workload"
@@ -160,7 +161,7 @@ func TestHealthSnapshotDeterministic(t *testing.T) {
 // a 1% miss budget. Both rules must trip during the run.
 func wearPressureAlerts(t *testing.T, seed int64) []telemetry.Alert {
 	t.Helper()
-	opts := BuildOpts{
+	opts := system.BuildOpts{
 		Sched:        &sched.Config{Policy: sched.Priority},
 		BackgroundGC: true,
 		Telemetry:    &telemetry.Config{SampleEvery: 25 * sim.Millisecond},
@@ -171,22 +172,20 @@ func wearPressureAlerts(t *testing.T, seed int64) []telemetry.Alert {
 				Budget: 0.01, Severity: "page"},
 		}},
 	}
-	sys, err := BuildSystemOpts(StackNoFTLRegions, flash.EmulatorConfig(4, 24, nand.SLC), 128, opts)
+	sys, err := system.BuildWithOpts(system.StackNoFTLRegions, flash.EmulatorConfig(4, 24, nand.SLC), 128, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl := workload.NewTPCB(deriveTPCB(sys.NoFTL.LogicalPages()))
-	_, err = RunTPS(sys, wl, TPSConfig{
-		Workers:     8,
-		Writers:     4,
-		Association: storage.AssocDieWise,
-		Warm:        200 * sim.Millisecond,
-		Measure:     1 * sim.Second,
-		Seed:        seed,
-		Tagged:      true,
+	wl := workload.NewTPCB(deriveTPCB(sys.NoFTL.LogicalPages(), 0.68))
+	_, err = RunScenario(sys, Scenario{
 		// Deadlines far below the commit path's latency floor: nearly
 		// every commit misses, torching the 1% budget.
-		DeadlineAfter: func(id int) sim.Time { return 20 * sim.Microsecond },
+		Groups:      []Group{{Workload: wl, N: 8, Seed: seed, Deadline: 20 * sim.Microsecond}},
+		Writers:     4,
+		Association: storage.AssocDieWise,
+		Tagged:      true,
+		Warm:        200 * sim.Millisecond,
+		Measure:     1 * sim.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +236,7 @@ func TestHealthAlertsFireDeterministically(t *testing.T) {
 // /metrics, the snapshot on /health and the alert log on /alerts while
 // the bench harness drives it, and the listener releases on Close.
 func TestLiveMonitorServesMetrics(t *testing.T) {
-	opts := BuildOpts{
+	opts := system.BuildOpts{
 		Sched:        &sched.Config{Policy: sched.Priority},
 		BackgroundGC: true,
 		Telemetry:    &telemetry.Config{SampleEvery: 25 * sim.Millisecond},
@@ -246,7 +245,7 @@ func TestLiveMonitorServesMetrics(t *testing.T) {
 			Rules:       health.DefaultRules(64, 4, 50_000, 0.05),
 		},
 	}
-	sys, err := BuildSystemOpts(StackNoFTLRegions, flash.EmulatorConfig(4, 24, nand.SLC), 128, opts)
+	sys, err := system.BuildWithOpts(system.StackNoFTLRegions, flash.EmulatorConfig(4, 24, nand.SLC), 128, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,14 +254,13 @@ func TestLiveMonitorServesMetrics(t *testing.T) {
 		t.Fatal("monitor not serving despite MonitorAddr")
 	}
 
-	wl := workload.NewTPCB(deriveTPCB(sys.NoFTL.LogicalPages()))
-	if _, err := RunTPS(sys, wl, TPSConfig{
-		Workers:     8,
+	wl := workload.NewTPCB(deriveTPCB(sys.NoFTL.LogicalPages(), 0.68))
+	if _, err := RunScenario(sys, Scenario{
+		Groups:      []Group{{Workload: wl, N: 8, Seed: 3}},
 		Writers:     4,
 		Association: storage.AssocDieWise,
 		Warm:        200 * sim.Millisecond,
 		Measure:     500 * sim.Millisecond,
-		Seed:        3,
 	}); err != nil {
 		t.Fatal(err)
 	}

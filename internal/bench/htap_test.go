@@ -11,17 +11,19 @@ import (
 
 func tinyHTAPConfig(seed int64) HTAPConfig {
 	return HTAPConfig{
-		Dies:      4,
-		DriveMB:   24,
-		Terminals: 6,
-		Readers:   2,
-		Writers:   4,
-		Frames:    128,
-		Warm:      300 * sim.Millisecond,
-		Measure:   1 * sim.Second,
-		Seed:      seed,
-		TPCB:      workload.TPCBConfig{Branches: 4, AccountsPerBranch: 2000},
-		TPCH:      workload.TPCHConfig{ScaleFactor: 1},
+		Params: Params{
+			Dies:    4,
+			DriveMB: 24,
+			Workers: 6,
+			Writers: 4,
+			Frames:  128,
+			Warm:    300 * sim.Millisecond,
+			Measure: 1 * sim.Second,
+			Seed:    seed,
+		},
+		Readers: 2,
+		TPCB:    workload.TPCBConfig{Branches: 4, AccountsPerBranch: 2000},
+		TPCH:    workload.TPCHConfig{ScaleFactor: 1},
 	}
 }
 
@@ -52,19 +54,19 @@ func TestHTAPAblationSmoke(t *testing.T) {
 			t.Fatalf("%s: no commands scheduled", row.Mode)
 		}
 	}
-	naive := res.row(HTAPNaive)
+	naive := res.Row(string(HTAPNaive))
 	if naive.Buffer.Promotions != 0 || naive.Buffer.GhostHits != 0 || naive.Buffer.Prefetches != 0 {
 		t.Fatalf("naive mode ran scan-resist/prefetch machinery: %+v", naive.Buffer)
 	}
 	for _, m := range []HTAPMode{HTAPScanRes, HTAPPrefetch} {
-		if res.row(m).Buffer.Promotions == 0 {
+		if res.Row(string(m)).Buffer.Promotions == 0 {
 			t.Fatalf("%s: segmented clock never promoted", m)
 		}
 	}
-	if res.row(HTAPScanRes).Buffer.Prefetches != 0 {
+	if res.Row(string(HTAPScanRes)).Buffer.Prefetches != 0 {
 		t.Fatal("scan-resist mode issued prefetches")
 	}
-	pf := res.row(HTAPPrefetch)
+	pf := res.Row(string(HTAPPrefetch))
 	if pf.Buffer.Prefetches == 0 || pf.Buffer.PrefetchHits == 0 {
 		t.Fatalf("prefetch mode: prefetches=%d hits=%d", pf.Buffer.Prefetches, pf.Buffer.PrefetchHits)
 	}
@@ -88,9 +90,7 @@ func TestHTAPDeterministicJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		report = &JSONReport{Seed: 7}
-		for i := range res.Rows {
-			report.AddHTAP(&res.Rows[i])
-		}
+		report.Add(res)
 		out, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
 			t.Fatal(err)

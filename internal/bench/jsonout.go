@@ -22,13 +22,10 @@ type JSONResult struct {
 	TPS        float64 `json:"tps"`
 	WA         float64 `json:"wa"`
 	Erases     int64   `json:"erases"`
-	// BytesPerTx divides the device's program bytes over warm-up AND
-	// measure by the commits of the measure window alone (device
-	// counters reset after load, commit counting starts after warm-up) —
-	// an upper bound whose bias shrinks with the measure/warm ratio. It
-	// is comparable across stacks/modes of one run, which is what the
-	// trajectory files diff; every TPS experiment (headline, delta,
-	// regions, sched, htap) shares this convention.
+	// BytesPerTx follows Result.BytesPerTx: the device's program bytes
+	// over warm-up AND measure by the commits of the measure window —
+	// comparable across the rows of one run, which is what the
+	// trajectory files diff.
 	BytesPerTx float64 `json:"bytes_per_tx"`
 	Committed  int64   `json:"committed"`
 	// Latency tails in microseconds (experiments run with latency
@@ -84,62 +81,104 @@ type JSONReport struct {
 	Results []JSONResult `json:"results"`
 }
 
-// Add appends one measurement derived from a TPS run.
-func (r *JSONReport) Add(experiment, workload string, stack Stack, res *TPSResult) {
-	var bytesPerTx float64
-	if res.Committed > 0 {
-		bytesPerTx = float64(res.Device.ProgramBytes) / float64(res.Committed)
+// jsonFields selects the JSONResult fields an experiment's rows carry,
+// so every experiment keeps the field set its trajectory files diff.
+type jsonFields uint
+
+const (
+	jMode        jsonFields = 1 << iota // mode name
+	jWA                                 // write amplification
+	jDevice                             // erases, bytes/tx
+	jCommitTails                        // commit p50/p95/p99
+	jReadTails                          // buffer read-miss p50/p95/p99
+	jSched                              // queue-wait mean, erase suspends
+	jMisses                             // deadline misses
+	jPromotions                         // scheduler deadline promotions
+	jHealth                             // wear spread, valid-copy ratio, alerts
+	jScan                               // analytical stream and pool counters
+	jBlame                              // blame shares
+	jServe                              // admission counters, per-tenant split
+	jPerGroup                           // one row per terminal group, named by it
+
+	stackFields = jWA | jDevice
+	schedFields = jMode | jWA | jDevice | jCommitTails | jReadTails | jSched | jMisses |
+		jPromotions | jHealth | jBlame
+	htapFields  = jMode | jDevice | jCommitTails | jReadTails | jScan | jBlame
+	qosFields   = jPerGroup | jCommitTails | jMisses | jPromotions | jBlame
+	serveFields = jMode | jCommitTails | jMisses | jServe
+)
+
+// Add appends a sweep's rows: one per mode, or one per terminal group
+// of each mode for per-group experiments (qos).
+func (r *JSONReport) Add(s *Sweep) {
+	f := s.spec.fields
+	if f == 0 {
+		return
 	}
-	r.Results = append(r.Results, JSONResult{
-		Experiment: experiment,
-		Workload:   workload,
-		Stack:      string(stack),
-		TPS:        res.TPS,
-		WA:         res.FTL.WriteAmplification(),
-		Erases:     res.Device.Erases,
-		BytesPerTx: bytesPerTx,
-		Committed:  res.Committed,
-	})
+	for i := range s.Rows {
+		res := &s.Rows[i]
+		if f&jPerGroup == 0 {
+			jr := s.jsonRow(res, res.Mode, res.TPS, res.Committed, res.DeadlineMisses, &res.CommitHist)
+			if f&jBlame != 0 && res.Blame != nil {
+				jr.BlameShares = res.Blame.ShareMapAll()
+			}
+			r.Results = append(r.Results, jr)
+			continue
+		}
+		for j := range res.Groups {
+			g := &res.Groups[j]
+			jr := s.jsonRow(res, g.Name, g.TPS, g.Committed, g.DeadlineMisses, &g.CommitHist)
+			if f&jBlame != 0 && res.Blame != nil {
+				jr.BlameShares = res.Blame.ShareMap(g.Tag)
+			}
+			r.Results = append(r.Results, jr)
+		}
+	}
 }
 
-// AddSched appends one scheduling-ablation row, including the latency
-// tails and queue-wait accounting the sched experiment is about.
-func (r *JSONReport) AddSched(workload string, row *SchedRow) {
-	res := &row.Result
-	var bytesPerTx float64
-	if res.Committed > 0 {
-		bytesPerTx = float64(res.Device.ProgramBytes) / float64(res.Committed)
+// jsonRow builds one row from a run and the throughput view (the whole
+// run or one of its groups) it reports.
+func (s *Sweep) jsonRow(res *Result, mode string, tps float64, committed, misses int64,
+	commit *stats.Histogram) JSONResult {
+	f := s.spec.fields
+	jr := JSONResult{Experiment: s.Experiment, Workload: s.Workload, Stack: string(res.Stack),
+		TPS: tps, Committed: committed}
+	if f&(jMode|jPerGroup) != 0 {
+		jr.Mode = mode
 	}
-	var waitMean float64
-	if n := res.Sched.TotalScheduled(); n > 0 {
-		var total sim.Time
-		for _, w := range res.Sched.QueueWait {
-			total += w
+	if f&jWA != 0 {
+		jr.WA = res.FTL.WriteAmplification()
+	}
+	if f&jDevice != 0 {
+		jr.Erases, jr.BytesPerTx = res.Device.Erases, res.BytesPerTx()
+	}
+	if f&jCommitTails != 0 {
+		jr.CommitP50us = us(commit.Percentile(50))
+		jr.CommitP95us = us(commit.Percentile(95))
+		jr.CommitP99us = us(commit.Percentile(99))
+	}
+	if f&jReadTails != 0 {
+		jr.ReadP50us = us(res.ReadHist.Percentile(50))
+		jr.ReadP95us = us(res.ReadHist.Percentile(95))
+		jr.ReadP99us = us(res.ReadHist.Percentile(99))
+	}
+	if f&jSched != 0 {
+		if n := res.Sched.TotalScheduled(); n > 0 {
+			var total sim.Time
+			for _, w := range res.Sched.QueueWait {
+				total += w
+			}
+			jr.QueueWaitMeanUs = us(total / sim.Time(n))
 		}
-		waitMean = us(total / sim.Time(n))
+		jr.EraseSuspends = res.Device.EraseSuspends
 	}
-	jr := JSONResult{
-		Experiment:         "sched",
-		Workload:           workload,
-		Stack:              string(StackNoFTLRegions),
-		Mode:               string(row.Mode),
-		TPS:                res.TPS,
-		WA:                 res.FTL.WriteAmplification(),
-		Erases:             res.Device.Erases,
-		BytesPerTx:         bytesPerTx,
-		Committed:          res.Committed,
-		CommitP50us:        us(res.CommitHist.Percentile(50)),
-		CommitP95us:        us(res.CommitHist.Percentile(95)),
-		CommitP99us:        us(res.CommitHist.Percentile(99)),
-		ReadP50us:          us(res.ReadHist.Percentile(50)),
-		ReadP95us:          us(res.ReadHist.Percentile(95)),
-		ReadP99us:          us(res.ReadHist.Percentile(99)),
-		QueueWaitMeanUs:    waitMean,
-		EraseSuspends:      res.Device.EraseSuspends,
-		DeadlineMisses:     res.DeadlineMisses,
-		DeadlinePromotions: res.Sched.DeadlinePromotions,
+	if f&jMisses != 0 {
+		jr.DeadlineMisses = misses
 	}
-	if h := row.Health; h != nil {
+	if f&jPromotions != 0 {
+		jr.DeadlinePromotions = res.Sched.DeadlinePromotions
+	}
+	if h := res.Health; f&jHealth != 0 && h != nil {
 		jr.WearSpread = h.Wear.Spread
 		jr.AlertsFired = len(h.Alerts)
 		for _, reg := range h.Regions {
@@ -148,118 +187,22 @@ func (r *JSONReport) AddSched(workload string, row *SchedRow) {
 			}
 		}
 	}
-	if row.Blame != nil {
-		jr.BlameShares = row.Blame.ShareMapAll()
+	if f&jScan != 0 {
+		jr.ScanQPS, jr.ScanRowsPerS = res.QPS, res.RowsPerS
+		jr.ScanP50us = us(res.QueryHist.Percentile(50))
+		jr.ScanP99us = us(res.QueryHist.Percentile(99))
+		b := res.Buffer
+		jr.BufferHit, jr.GhostHits, jr.Prefetches, jr.PrefetchHits = b.HitRate(), b.GhostHits, b.Prefetches, b.PrefetchHits
 	}
-	r.Results = append(r.Results, jr)
-}
-
-// AddHTAP appends one HTAP-ablation row: the OLTP stream under the TPS
-// fields, the analytical stream and pool policy accounting under the
-// scan/buffer fields.
-func (r *JSONReport) AddHTAP(row *HTAPRow) {
-	var bytesPerTx float64
-	if row.Committed > 0 {
-		bytesPerTx = float64(row.Device.ProgramBytes) / float64(row.Committed)
+	if f&jServe != 0 {
+		jr.Admitted, jr.Deprioritized, jr.Shed = res.Front.Admitted, res.Front.Deprioritized, res.Front.Shed
+		jr.TenantTPS, jr.TenantP99us = map[string]float64{}, map[string]float64{}
+		for _, g := range res.Groups {
+			jr.TenantTPS[g.Name] = g.TPS
+			jr.TenantP99us[g.Name] = us(g.CommitHist.Percentile(99))
+		}
 	}
-	jr := JSONResult{
-		Experiment:   "htap",
-		Workload:     "tpcb+tpch",
-		Stack:        string(StackNoFTLRegions),
-		Mode:         string(row.Mode),
-		TPS:          row.TPS,
-		Erases:       row.Device.Erases,
-		BytesPerTx:   bytesPerTx,
-		Committed:    row.Committed,
-		CommitP50us:  us(row.CommitHist.Percentile(50)),
-		CommitP95us:  us(row.CommitHist.Percentile(95)),
-		CommitP99us:  us(row.CommitHist.Percentile(99)),
-		ReadP50us:    us(row.ReadHist.Percentile(50)),
-		ReadP95us:    us(row.ReadHist.Percentile(95)),
-		ReadP99us:    us(row.ReadHist.Percentile(99)),
-		ScanQPS:      row.QPS,
-		ScanRowsPerS: row.RowsPerS,
-		ScanP50us:    us(row.QueryHist.Percentile(50)),
-		ScanP99us:    us(row.QueryHist.Percentile(99)),
-		BufferHit:    row.Buffer.HitRate(),
-		GhostHits:    row.Buffer.GhostHits,
-		Prefetches:   row.Buffer.Prefetches,
-		PrefetchHits: row.Buffer.PrefetchHits,
-	}
-	if row.Blame != nil {
-		jr.BlameShares = row.Blame.ShareMapAll()
-	}
-	r.Results = append(r.Results, jr)
-}
-
-// AddQoS appends the QoS demo's per-tenant rows: one row per group
-// with its tag, throughput and commit tails.
-func (r *JSONReport) AddQoS(res *QoSResult) {
-	for _, row := range []*QoSRow{&res.High, &res.Low} {
-		mode := "high"
-		if row.Tag == TagLowPriority {
-			mode = "low"
-		}
-		jr := JSONResult{
-			Experiment:         "qos",
-			Workload:           "tpcb-2tenant",
-			Stack:              string(StackNoFTLRegions),
-			Mode:               mode,
-			TPS:                row.TPS,
-			Committed:          row.Committed,
-			CommitP50us:        us(row.Commit.Percentile(50)),
-			CommitP95us:        us(row.Commit.Percentile(95)),
-			CommitP99us:        us(row.Commit.Percentile(99)),
-			DeadlineMisses:     row.DeadlineMisses,
-			DeadlinePromotions: res.Sched.DeadlinePromotions,
-		}
-		if res.Blame != nil {
-			jr.BlameShares = res.Blame.ShareMap(row.Tag)
-		}
-		r.Results = append(r.Results, jr)
-	}
-}
-
-// AddServe appends the serving-front ablation's rows: one per regime
-// (uncontended reference included), headline fields over both tenants
-// and the per-tenant split in the tenant maps.
-func (r *JSONReport) AddServe(res *ServeResult) {
-	rows := append([]ServeRow{res.Uncontended}, res.Rows...)
-	for i := range rows {
-		row := &rows[i]
-		jr := JSONResult{
-			Experiment:    "serve",
-			Workload:      "kv",
-			Stack:         string(StackNoFTLRegions),
-			Mode:          row.Mode,
-			Admitted:      row.Front.Admitted,
-			Deprioritized: row.Front.Deprioritized,
-			Shed:          row.Front.Shed,
-			TenantTPS:     map[string]float64{},
-			TenantP99us:   map[string]float64{},
-		}
-		var committed int64
-		var hist stats.Histogram
-		var misses int64
-		for _, tr := range row.Tenants {
-			committed += tr.Committed
-			hist.AddHist(&tr.Commit)
-			misses += tr.DeadlineMisses
-			jr.TenantTPS[tr.Name] = tr.TPS
-			jr.TenantP99us[tr.Name] = us(tr.Commit.Percentile(99))
-		}
-		jr.Committed = committed
-		// The tenant rows carry TPS over the measure window; the
-		// headline TPS is their sum.
-		for _, tr := range row.Tenants {
-			jr.TPS += tr.TPS
-		}
-		jr.CommitP50us = us(hist.Percentile(50))
-		jr.CommitP95us = us(hist.Percentile(95))
-		jr.CommitP99us = us(hist.Percentile(99))
-		jr.DeadlineMisses = misses
-		r.Results = append(r.Results, jr)
-	}
+	return jr
 }
 
 // Write serializes the report to path (indented, trailing newline).

@@ -11,6 +11,7 @@ import (
 	"noftl/internal/noftl"
 	"noftl/internal/sim"
 	"noftl/internal/stats"
+	"noftl/internal/system"
 )
 
 // LatencyConfig parameterizes the §3 motivation experiment: 4 KB random
@@ -26,24 +27,16 @@ type LatencyConfig struct {
 }
 
 func (c LatencyConfig) withDefaults() LatencyConfig {
-	if c.Ops <= 0 {
-		c.Ops = 20000
-	}
-	if c.DriveMB <= 0 {
-		c.DriveMB = 64
-	}
-	if c.Dies <= 0 {
-		c.Dies = 4
-	}
-	if c.Fill <= 0 {
-		c.Fill = 0.9
-	}
+	c.Ops = orDefault(c.Ops, 20000)
+	c.DriveMB = orDefault(c.DriveMB, 64)
+	c.Dies = orDefault(c.Dies, 4)
+	c.Fill = orDefault(c.Fill, 0.9)
 	return c
 }
 
 // LatencyRow is one stack's latency distribution.
 type LatencyRow struct {
-	Stack Stack
+	Stack system.Stack
 	Hist  stats.Histogram
 }
 
@@ -53,7 +46,7 @@ type LatencyResult struct {
 }
 
 // HistOf returns a stack's histogram.
-func (r *LatencyResult) HistOf(s Stack) *stats.Histogram {
+func (r *LatencyResult) HistOf(s system.Stack) *stats.Histogram {
 	for i := range r.Rows {
 		if r.Rows[i].Stack == s {
 			return &r.Rows[i].Hist
@@ -93,7 +86,7 @@ func Latency(cfg LatencyConfig) (*LatencyResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("latency faster: %w", err)
 	}
-	res.Rows = append(res.Rows, LatencyRow{Stack: StackFaster, Hist: *fh})
+	res.Rows = append(res.Rows, LatencyRow{Stack: system.StackFaster, Hist: *fh})
 
 	// NoFTL: a background DES process keeps regions clean.
 	ndev := flash.New(mlcConfig(cfg))
@@ -107,7 +100,7 @@ func Latency(cfg LatencyConfig) (*LatencyResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("latency noftl: %w", err)
 	}
-	res.Rows = append(res.Rows, LatencyRow{Stack: StackNoFTL, Hist: *nh})
+	res.Rows = append(res.Rows, LatencyRow{Stack: system.StackNoFTL, Hist: *nh})
 	return res, nil
 }
 

@@ -14,32 +14,35 @@ import (
 // queues (Retagged > 0).
 func TestQoSTagSplit(t *testing.T) {
 	res, err := QoS(QoSConfig{
-		Dies:    4,
-		DriveMB: 32,
-		Workers: 12,
-		Writers: 4,
-		Frames:  128,
-		Warm:    sim.Second,
-		Measure: 2 * sim.Second,
-		Seed:    42,
-		TPCB:    workload.TPCBConfig{Branches: 48, AccountsPerBranch: 400},
+		Params: Params{
+			Dies:    4,
+			DriveMB: 32,
+			Workers: 12,
+			Writers: 4,
+			Frames:  128,
+			Warm:    sim.Second,
+			Measure: 2 * sim.Second,
+			Seed:    42,
+		},
+		TPCB: workload.TPCBConfig{Branches: 48, AccountsPerBranch: 400},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.High.Committed == 0 || res.Low.Committed == 0 {
-		t.Fatalf("both groups must commit: high=%d low=%d", res.High.Committed, res.Low.Committed)
+	run := &res.Rows[0]
+	if high, low := run.Group("high"), run.Group("low"); high.Committed == 0 || low.Committed == 0 {
+		t.Fatalf("both groups must commit: high=%d low=%d", high.Committed, low.Committed)
 	}
-	if res.Sched.Retagged == 0 {
+	if run.Sched.Retagged == 0 {
 		t.Fatal("low-priority descriptors never reached the die queues (Retagged = 0)")
 	}
-	ratio := res.P99Ratio()
+	ratio := res.P99Ratio("qos/low", "qos/high")
 	if ratio <= 1.25 {
 		t.Fatalf("per-tag p99 commit latencies did not split: low/high = %.3f\n%s",
 			ratio, res.Table())
 	}
 	report := &JSONReport{Seed: 42}
-	report.AddQoS(res)
+	report.Add(res)
 	checkGolden(t, "qos", report)
 	t.Logf("p99 split low/high = %.2fx\n%s", ratio, res.Table())
 }

@@ -3,22 +3,16 @@ package bench
 import (
 	"fmt"
 
-	"noftl/internal/flash"
-	"noftl/internal/nand"
 	"noftl/internal/sched"
-	"noftl/internal/sim"
 	"noftl/internal/stats"
 	"noftl/internal/storage"
-	"noftl/internal/telemetry"
-	"noftl/internal/telemetry/blame"
-	"noftl/internal/telemetry/health"
-	"noftl/internal/trace"
+	"noftl/internal/system"
 	"noftl/internal/workload"
 )
 
 // SchedAblation (A7) isolates the command-scheduling design on the
 // region-managed NoFTL stack: the same multi-terminal workload runs at
-// matched occupancy under three maintenance/scheduling regimes:
+// matched occupancy under four maintenance/scheduling regimes:
 //
 //   - inline-gc: GC fires at the low-water mark on the allocating
 //     (commit/flush) path; commands dispatch FCFS per die — the closest
@@ -53,306 +47,74 @@ const (
 	SchedTagged SchedMode = "bg-gc+prio+tagged"
 )
 
+// schedRegimes maps each regime to its scheduler policy, maintenance
+// and tagging.
+var schedRegimes = map[SchedMode]struct {
+	policy     sched.Policy
+	bg, tagged bool
+}{
+	SchedInline:     {sched.FCFS, false, false},
+	SchedBackground: {sched.FCFS, true, false},
+	SchedPriority:   {sched.Priority, true, false},
+	SchedTagged:     {sched.Priority, true, true},
+}
+
 // SchedConfig parameterizes the scheduling ablation.
 type SchedConfig struct {
+	Params
 	Workload string      // "tpcb" (default) or "tpcc"
-	Modes    []SchedMode // default: all three
-	Dies     int         // default 8
-	DriveMB  int         // default 64
-	Workers  int         // default 16 terminals
-	Writers  int         // default 8
-	Frames   int         // default 384
-	Warm     sim.Time
-	Measure  sim.Time
-	Seed     int64
-	// TraceCmds attaches a trace.CmdLog to each mode's scheduler and
-	// keeps its per-class summary in the row (memory-heavy; off by
-	// default).
-	TraceCmds bool
-	// Telemetry attaches the cross-layer telemetry pipeline to each
-	// mode's system: request spans on every counted transaction, the
-	// metrics sampler, and the flight recorder (SchedRow.Tel).
-	Telemetry *telemetry.Config
-	// Blame attaches the latency root-cause engine to each mode's
-	// system (implies telemetry with span retention and a system-owned
-	// command log); SchedRow.Blame carries each regime's report.
-	Blame *blame.Config
-	// Health attaches the device-health monitor to each mode's system
-	// (implies telemetry): SchedRow.Health carries the end-of-run
-	// snapshot (wear heatmaps, GC efficiency, alert log). A configured
-	// MonitorAddr serves live pages during each mode's run; the
-	// listener closes between modes so a fixed address can rebind.
-	Health *health.Config
-
-	TPCC workload.TPCCConfig
+	Modes    []SchedMode // default: all four
+	TPCC     workload.TPCCConfig
+	// TPCB defaults to a population sized for ~80% end-of-run occupancy
+	// of the data region — the regime where GC runs constantly and
+	// scheduling decides who waits for it.
 	TPCB workload.TPCBConfig
 }
 
-func (c SchedConfig) withDefaults() SchedConfig {
-	if c.Workload == "" {
-		c.Workload = "tpcb"
-	}
-	if len(c.Modes) == 0 {
-		c.Modes = []SchedMode{SchedInline, SchedBackground, SchedPriority, SchedTagged}
-	}
-	if c.Dies <= 0 {
-		c.Dies = 8
-	}
-	// Sized so the TPC-B data below lands around 80% occupancy of the
-	// data region — the regime where GC runs constantly and scheduling
-	// decides who waits for it.
-	if c.DriveMB <= 0 {
-		c.DriveMB = 64
-	}
-	if c.Workers <= 0 {
-		c.Workers = 16
-	}
-	if c.Writers <= 0 {
-		c.Writers = 8
-	}
-	if c.Frames <= 0 {
-		c.Frames = 384
-	}
-	if c.Warm <= 0 {
-		c.Warm = 2 * sim.Second
-	}
-	if c.Measure <= 0 {
-		c.Measure = 8 * sim.Second
-	}
-	if c.TPCC.Warehouses == 0 {
-		c.TPCC = workload.TPCCConfig{Warehouses: 4}
-	}
-	// TPCB is sized per geometry (deriveTPCB) unless set explicitly.
-	return c
-}
-
-// deriveTPCB sizes the TPC-B population for roughly 80% end-of-run
-// occupancy of the data region: about 40 rows (heap row + pk entry) fit
-// a 4 KiB page, and the append-only history table keeps growing through
-// the run, so the load starts a bit lower.
-func deriveTPCB(dataPages int64) workload.TPCBConfig {
-	const rowsPerPage = 34 // heap rows + pk entries per 4 KiB page, measured
-	const accounts = 6000
-	rows := int64(float64(dataPages) * 0.68 * rowsPerPage)
-	branches := int(rows / accounts)
-	if branches < 2 {
-		branches = 2
-	}
-	return workload.TPCBConfig{Branches: branches, AccountsPerBranch: accounts}
-}
-
-// SchedRow is one regime's measurement.
-type SchedRow struct {
-	Mode      SchedMode
-	Result    TPSResult
-	Occupancy float64 // data-region live fraction at the end of the run
-	CmdLog    *trace.CmdLog
-	// Tel is the regime's telemetry pipeline (SchedConfig.Telemetry
-	// runs; nil otherwise): metrics series, retained spans, flight
-	// recorder.
-	Tel *telemetry.Telemetry
-	// Health is the regime's end-of-run device-health snapshot
-	// (SchedConfig.Health runs; nil otherwise) — its Alerts field is
-	// the full SLO transition log of the run.
-	Health *health.Snapshot
-	// Blame is the regime's root-cause report (SchedConfig.Blame runs;
-	// nil otherwise).
-	Blame *blame.Report
-}
-
-// SchedResult is the ablation outcome.
-type SchedResult struct {
-	Workload string
-	Rows     []SchedRow
-}
-
-func (r *SchedResult) row(m SchedMode) *SchedRow {
-	for i := range r.Rows {
-		if r.Rows[i].Mode == m {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
-func (r *SchedResult) ratio(f func(*SchedRow) float64) float64 {
-	base, prio := r.row(SchedInline), r.row(SchedPriority)
-	if base == nil || prio == nil || f(base) == 0 {
-		return 0
-	}
-	return f(prio) / f(base)
-}
-
-// CommitP99Ratio is bg-gc+prio p99 commit latency over inline-gc's
-// (< 1 means the scheduled stack has a shorter commit tail).
-func (r *SchedResult) CommitP99Ratio() float64 {
-	return r.ratio(func(row *SchedRow) float64 {
-		return float64(row.Result.CommitHist.Percentile(99))
-	})
-}
-
-// ReadP99Ratio is bg-gc+prio p99 read latency over inline-gc's.
-func (r *SchedResult) ReadP99Ratio() float64 {
-	return r.ratio(func(row *SchedRow) float64 {
-		return float64(row.Result.ReadHist.Percentile(99))
-	})
-}
-
-// TPSRatio is bg-gc+prio TPS over inline-gc TPS.
-func (r *SchedResult) TPSRatio() float64 {
-	return r.ratio(func(row *SchedRow) float64 { return row.Result.TPS })
-}
-
-// TaggedCommitP99Ratio is bg-gc+prio+tagged p99 commit latency over
-// plain bg-gc+prio's — what dispatching on per-request descriptors buys
-// over static per-volume class routing (< 1: shorter commit tail).
-func (r *SchedResult) TaggedCommitP99Ratio() float64 {
-	base, tagged := r.row(SchedPriority), r.row(SchedTagged)
-	if base == nil || tagged == nil || base.Result.CommitHist.Percentile(99) == 0 {
-		return 0
-	}
-	return float64(tagged.Result.CommitHist.Percentile(99)) /
-		float64(base.Result.CommitHist.Percentile(99))
-}
-
-// Table renders the regime comparison.
-func (r *SchedResult) Table() string {
-	t := stats.NewTable("mode", "TPS", "commit p50", "p95", "p99",
-		"read p50", "p95", "p99", "erases", "suspends", "gcSteps", "occ")
-	for _, row := range r.Rows {
-		c, rd := &row.Result.CommitHist, &row.Result.ReadHist
-		t.Row(string(row.Mode), row.Result.TPS,
-			c.Percentile(50).String(), c.Percentile(95).String(), c.Percentile(99).String(),
-			rd.Percentile(50).String(), rd.Percentile(95).String(), rd.Percentile(99).String(),
-			row.Result.Device.Erases, row.Result.Device.EraseSuspends,
-			row.Result.GCSteps, fmt.Sprintf("%.0f%%", 100*row.Occupancy))
-	}
-	return t.String()
-}
-
-// WaitTable renders per-class queue waits of the scheduled regimes.
-func (r *SchedResult) WaitTable() string {
-	t := stats.NewTable("mode", "class", "cmds", "mean wait", "max wait")
-	for _, row := range r.Rows {
-		st := row.Result.Sched
-		for c := sched.Class(0); c < sched.NumClasses; c++ {
-			if st.Scheduled[c] == 0 {
-				continue
-			}
-			t.Row(string(row.Mode), c.String(), st.Scheduled[c],
-				st.MeanWait(c).String(), st.MaxWait[c].String())
-		}
-	}
-	return t.String()
-}
-
-// HealthTable renders the health-enabled regimes' device summary:
-// wear distribution, data-region GC efficiency and alert count.
-func (r *SchedResult) HealthTable() string {
-	t := stats.NewTable("mode", "wear spread", "wear p99", "bad", "occ",
-		"valid-copy", "WA", "alerts")
-	for _, row := range r.Rows {
-		h := row.Health
-		if h == nil {
-			continue
-		}
-		occ, vcr, wa := 0.0, 0.0, 0.0
-		for _, reg := range h.Regions {
-			if reg.Mapping == "page" {
-				occ, vcr, wa = reg.Occupancy, reg.GC.ValidCopyRatio, reg.GC.WA
-			}
-		}
-		t.Row(string(row.Mode), h.Wear.Spread, h.Wear.P99, h.Wear.BadBlocks,
-			fmt.Sprintf("%.0f%%", 100*occ), fmt.Sprintf("%.2f", vcr),
-			fmt.Sprintf("%.2f", wa), len(h.Alerts))
-	}
-	return t.String()
-}
-
-// AlertTable renders every health-enabled regime's SLO transitions.
-func (r *SchedResult) AlertTable() string {
-	t := stats.NewTable("mode", "t", "rule", "sev", "state", "value", "threshold")
-	for _, row := range r.Rows {
-		if row.Health == nil {
-			continue
-		}
-		for _, a := range row.Health.Alerts {
-			t.Row(string(row.Mode), a.TNs.String(), a.Rule, a.Severity, a.State,
-				fmt.Sprintf("%.3g", a.Value), fmt.Sprintf("%.3g", a.Threshold))
-		}
-	}
-	return t.String()
-}
+var schedSpec = &spec{name: "sched", fields: schedFields, table: schedTable}
 
 // SchedAblation runs the sweep: one freshly built region-managed system
 // per regime, same seed, same workload.
-func SchedAblation(cfg SchedConfig) (*SchedResult, error) {
-	cfg = cfg.withDefaults()
-	res := &SchedResult{Workload: cfg.Workload}
-	for _, mode := range cfg.Modes {
-		opts := BuildOpts{Sched: &sched.Config{Policy: sched.FCFS}}
-		switch mode {
-		case SchedBackground:
-			opts.BackgroundGC = true
-		case SchedPriority, SchedTagged:
-			opts.BackgroundGC = true
-			opts.Sched.Policy = sched.Priority
-		}
-		var log *trace.CmdLog
-		if cfg.TraceCmds {
-			log = &trace.CmdLog{}
-			opts.Sched.Trace = log.Record
-		}
-		opts.Telemetry = cfg.Telemetry
-		opts.Health = cfg.Health
-		opts.Blame = cfg.Blame
-		devCfg := flash.EmulatorConfig(cfg.Dies, cfg.DriveMB, nand.SLC)
-		sys, err := BuildSystemOpts(StackNoFTLRegions, devCfg, cfg.Frames, opts)
-		if err != nil {
-			return nil, fmt.Errorf("sched ablation %s: %w", mode, err)
-		}
-		var wl workload.Workload
-		if cfg.Workload == "tpcb" {
-			tpcb := cfg.TPCB
-			if tpcb.Branches == 0 {
-				tpcb = deriveTPCB(sys.NoFTL.LogicalPages())
-			}
-			wl = workload.NewTPCB(tpcb)
-		} else {
-			wl = workload.NewTPCC(cfg.TPCC)
-		}
-		r, err := RunTPS(sys, wl, TPSConfig{
-			Workers:      cfg.Workers,
-			Writers:      cfg.Writers,
-			Association:  storage.AssocDieWise,
-			Warm:         cfg.Warm,
-			Measure:      cfg.Measure,
-			Seed:         cfg.Seed,
-			TrackLatency: true,
-			Tagged:       mode == SchedTagged,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("sched ablation %s: %w", mode, err)
-		}
-		row := SchedRow{Mode: mode, Result: *r, CmdLog: log, Tel: sys.Tel}
-		if row.CmdLog == nil {
-			row.CmdLog = sys.CmdLog
-		}
-		if cfg.Blame != nil {
-			row.Blame = sys.Blame()
-		}
-		if sys.NoFTL != nil && sys.NoFTL.LogicalPages() > 0 {
-			row.Occupancy = float64(sys.NoFTL.LivePages()) / float64(sys.NoFTL.LogicalPages())
-		}
-		if sys.Health != nil {
-			row.Health = sys.Health.Snapshot(sys.K.Now())
-			// Release the live listener so the next mode (or a rerun on a
-			// fixed address) can bind it.
-			if err := sys.Health.Close(); err != nil {
-				return nil, fmt.Errorf("sched ablation %s: close monitor: %w", mode, err)
-			}
-		}
-		res.Rows = append(res.Rows, row)
+func SchedAblation(cfg SchedConfig) (*Sweep, error) {
+	p := cfg.withDefaults(defaultParams)
+	if cfg.Workload == "" {
+		cfg.Workload = "tpcb"
 	}
-	return res, nil
+	if cfg.TPCC.Warehouses == 0 {
+		cfg.TPCC = workload.TPCCConfig{Warehouses: 4}
+	}
+	if len(cfg.Modes) == 0 {
+		cfg.Modes = []SchedMode{SchedInline, SchedBackground, SchedPriority, SchedTagged}
+	}
+	var modes []mode
+	for _, m := range cfg.Modes {
+		r := schedRegimes[m]
+		modes = append(modes, mode{
+			name: string(m), stack: system.StackNoFTLRegions,
+			opts: system.BuildOpts{Sched: &sched.Config{Policy: r.policy}, BackgroundGC: r.bg},
+			scenario: func(sys *system.System) (Scenario, error) {
+				tpcb := cfg.TPCB
+				if tpcb.Branches == 0 {
+					tpcb = deriveTPCB(sys.NoFTL.LogicalPages(), 0.68)
+				}
+				return Scenario{Association: storage.AssocDieWise, Tagged: r.tagged, Groups: []Group{{
+					Workload: newWorkload(cfg.Workload, cfg.TPCC, tpcb), N: p.Workers, Seed: p.Seed,
+				}}}, nil
+			},
+		})
+	}
+	return p.sweep(schedSpec, cfg.Workload, modes)
+}
+
+func schedTable(s *Sweep) string {
+	t := stats.NewTable("mode", "TPS", "commit p50", "p95", "p99",
+		"read p50", "p95", "p99", "erases", "suspends", "gcSteps", "occ")
+	for _, r := range s.Rows {
+		c, rd := &r.CommitHist, &r.ReadHist
+		t.Row(r.Mode, r.TPS,
+			c.Percentile(50).String(), c.Percentile(95).String(), c.Percentile(99).String(),
+			rd.Percentile(50).String(), rd.Percentile(95).String(), rd.Percentile(99).String(),
+			r.Device.Erases, r.Device.EraseSuspends, r.GCSteps, fmt.Sprintf("%.0f%%", 100*r.Occupancy))
+	}
+	return t.String()
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func tinySchedConfig(seed int64) SchedConfig {
-	return SchedConfig{
+	return SchedConfig{Params: Params{
 		Dies:    4,
 		DriveMB: 24,
 		Workers: 8,
@@ -16,7 +16,7 @@ func tinySchedConfig(seed int64) SchedConfig {
 		Warm:    300 * sim.Millisecond,
 		Measure: 1 * sim.Second,
 		Seed:    seed,
-	}
+	}}
 }
 
 // TestSchedAblationSmoke runs the four regimes at tiny geometry and
@@ -33,13 +33,13 @@ func TestSchedAblationSmoke(t *testing.T) {
 		t.Fatalf("rows = %d, want 4", len(res.Rows))
 	}
 	for _, row := range res.Rows {
-		if row.Result.Committed == 0 {
+		if row.Committed == 0 {
 			t.Fatalf("%s committed nothing", row.Mode)
 		}
-		if row.Result.CommitHist.Count() == 0 || row.Result.ReadHist.Count() == 0 {
+		if row.CommitHist.Count() == 0 || row.ReadHist.Count() == 0 {
 			t.Fatalf("%s has empty latency histograms", row.Mode)
 		}
-		if row.Result.Sched.TotalScheduled() == 0 {
+		if row.Sched.TotalScheduled() == 0 {
 			t.Fatalf("%s scheduled no commands", row.Mode)
 		}
 		if row.Occupancy <= 0.5 || row.Occupancy > 1 {
@@ -47,34 +47,34 @@ func TestSchedAblationSmoke(t *testing.T) {
 		}
 	}
 	for _, mode := range []SchedMode{SchedBackground, SchedPriority, SchedTagged} {
-		if res.row(mode).Result.GCSteps == 0 {
+		if res.Row(string(mode)).GCSteps == 0 {
 			t.Fatalf("%s background workers made no GC progress", mode)
 		}
 	}
 	// Per-request descriptors only flow in the tagged regime.
-	if res.row(SchedTagged).Result.Sched.Retagged == 0 {
+	if res.Row(string(SchedTagged)).Sched.Retagged == 0 {
 		t.Fatal("tagged mode: no descriptor reached the die queues")
 	}
-	if res.row(SchedPriority).Result.Sched.Retagged != 0 {
+	if res.Row(string(SchedPriority)).Sched.Retagged != 0 {
 		t.Fatal("static mode dispatched on request descriptors")
 	}
-	if res.TaggedCommitP99Ratio() <= 0 {
+	if res.P99Ratio(string(SchedTagged), string(SchedPriority)) <= 0 {
 		t.Fatal("tagged-vs-static ratio missing")
 	}
-	if res.row(SchedInline).Result.GCSteps != 0 {
+	if res.Row(string(SchedInline)).GCSteps != 0 {
 		t.Fatal("inline mode ran background GC workers")
 	}
-	prio := res.row(SchedPriority)
-	if prio.Result.Device.EraseSuspends == 0 {
+	prio := res.Row(string(SchedPriority))
+	if prio.Device.EraseSuspends == 0 {
 		t.Fatal("priority mode never suspended an erase")
 	}
-	if res.row(SchedInline).Result.Device.EraseSuspends != 0 {
+	if res.Row(string(SchedInline)).Device.EraseSuspends != 0 {
 		t.Fatal("FCFS mode suspended an erase")
 	}
 	// Priority scheduling must shorten the read tail versus FCFS inline
 	// GC (the headline claim; commit tails need the full-scale run to
 	// separate cleanly from bucket noise).
-	if r := res.ReadP99Ratio(); r >= 1 {
+	if r := res.Ratio(string(SchedPriority), string(SchedInline), (*Result).ReadP99); r >= 1 {
 		t.Fatalf("read p99 ratio = %.2f, want < 1", r)
 	}
 }
@@ -95,7 +95,7 @@ func TestSchedAblationDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a.Rows {
-		ra, rb := a.Rows[i].Result, b.Rows[i].Result
+		ra, rb := &a.Rows[i], &b.Rows[i]
 		if ra.Committed != rb.Committed || ra.Device.Erases != rb.Device.Erases ||
 			ra.Device.EraseSuspends != rb.Device.EraseSuspends ||
 			ra.Sched != rb.Sched {
@@ -118,7 +118,7 @@ func TestSchedJSONRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	report := &JSONReport{Seed: 11}
-	report.AddSched(res.Workload, &res.Rows[0])
+	report.Add(res)
 	if len(report.Results) != 1 {
 		t.Fatalf("results = %d, want 1", len(report.Results))
 	}

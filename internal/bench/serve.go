@@ -5,16 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 
-	"noftl/internal/flash"
-	"noftl/internal/ioreq"
-	"noftl/internal/nand"
 	"noftl/internal/sched"
 	"noftl/internal/serve"
 	"noftl/internal/sim"
 	"noftl/internal/stats"
 	"noftl/internal/storage"
+	"noftl/internal/system"
 	"noftl/internal/telemetry"
-	"noftl/internal/workload"
 )
 
 // Serving-front ablation: thousands of closed-loop client sessions from
@@ -30,7 +27,7 @@ import (
 //	                 tenant burns its deadline-miss budget, is
 //	                 deprioritized to the degraded class and then shed
 //
-// plus an uncontended reference (the paying tenant alone). The
+// after an uncontended reference (the paying tenant alone). The
 // experiment's question is the serving front's reason to exist: with
 // admission control on, does the compliant tenant's commit tail stay
 // near its uncontended baseline while the breaching tenant is visibly
@@ -42,32 +39,22 @@ const (
 	TagBatch  uint32 = 0x5E0002
 )
 
-// Serving-ablation tenant names.
+// Serving-ablation tenant names (group names of every mode).
 const (
 	payingTenant = "paying"
 	batchTenant  = "batch"
 )
 
-// ServeConfig parameterizes the serving-front ablation.
+// ServeConfig parameterizes the serving-front ablation. Params.Workers
+// is the total session count, split 1:3 between the paying and batch
+// tenants (default 800); Params.Settle (default 1s) lets the burn guard
+// converge with spans live before the measured window.
 type ServeConfig struct {
-	Dies    int // default 8
-	DriveMB int // default 64
-	Frames  int // default 384
-	Writers int // default 8
-	// Clients is the total session count, split 1:3 between the paying
-	// and batch tenants. Default 800.
-	Clients int
+	Params
 	// Rows is the per-store record count. Default 16384.
 	Rows int64
 	// ValBytes sizes each record. Default 96.
 	ValBytes int
-	Warm     sim.Time // default 1s
-	// Settle runs between warm-up and measure with spans (and so the
-	// burn guard) live but before counters reset, so the guard's
-	// escalation transient stays out of the measured window. Default 1s.
-	Settle  sim.Time
-	Measure sim.Time // default 6s
-	Seed    int64
 	// PayingDeadline / BatchDeadline stamp each tenant's transactions
 	// (defaults 6ms / 3ms). PayingBudget / BatchBudget are the allowed
 	// deadline-miss fractions (defaults 0.25 / 0.02: the batch tenant's
@@ -82,64 +69,21 @@ type ServeConfig struct {
 	BatchRate float64
 	// PayingThink is the paying sessions' think time. Default 2ms.
 	PayingThink sim.Time
-	// Telemetry overrides the telemetry config (the pipeline itself is
-	// always attached — the burn guard needs it).
-	Telemetry *telemetry.Config
 }
 
 func (c ServeConfig) withDefaults() ServeConfig {
-	if c.Dies <= 0 {
-		c.Dies = 8
-	}
-	if c.DriveMB <= 0 {
-		c.DriveMB = 64
-	}
-	if c.Frames <= 0 {
-		c.Frames = 384
-	}
-	if c.Writers <= 0 {
-		c.Writers = 8
-	}
-	if c.Clients <= 0 {
-		c.Clients = 800
-	}
-	if c.Rows <= 0 {
-		c.Rows = 16384
-	}
-	if c.ValBytes <= 0 {
-		c.ValBytes = 96
-	}
-	if c.Warm <= 0 {
-		c.Warm = 1 * sim.Second
-	}
-	if c.Settle <= 0 {
-		c.Settle = 1 * sim.Second
-	}
-	if c.Measure <= 0 {
-		c.Measure = 6 * sim.Second
-	}
-	if c.PayingDeadline <= 0 {
-		c.PayingDeadline = 6 * sim.Millisecond
-	}
-	if c.BatchDeadline <= 0 {
-		c.BatchDeadline = 3 * sim.Millisecond
-	}
-	if c.PayingBudget <= 0 {
-		c.PayingBudget = 0.25
-	}
-	if c.BatchBudget <= 0 {
-		c.BatchBudget = 0.02
-	}
-	if c.BatchRate <= 0 {
-		c.BatchRate = 1200
-	}
-	if c.PayingThink <= 0 {
-		c.PayingThink = 2 * sim.Millisecond
-	}
+	c.Params = c.Params.withDefaults(Params{Workers: 800,
+		Warm: sim.Second, Settle: sim.Second, Measure: 6 * sim.Second}.withDefaults(defaultParams))
+	c.Rows = orDefault(c.Rows, 16384)
+	c.ValBytes = orDefault(c.ValBytes, 96)
+	c.PayingDeadline = orDefault(c.PayingDeadline, 6*sim.Millisecond)
+	c.BatchDeadline = orDefault(c.BatchDeadline, 3*sim.Millisecond)
+	c.PayingThink = orDefault(c.PayingThink, 2*sim.Millisecond)
+	c.PayingBudget = orDefault(c.PayingBudget, 0.25)
+	c.BatchBudget = orDefault(c.BatchBudget, 0.02)
+	c.BatchRate = orDefault(c.BatchRate, 1200)
 	return c
 }
-
-func (c ServeConfig) payingN() int { return c.Clients / 4 }
 
 // ServeTagNames names the ablation's stream tags for blame tables,
 // flame stacks and Prometheus labels.
@@ -150,102 +94,6 @@ func ServeTagNames() map[uint32]string {
 		tagWriters:      "writers",
 		tagCheckpointer: "ckpt",
 	}
-}
-
-// ServeTenantRow is one tenant's measurement under one admission regime.
-type ServeTenantRow struct {
-	Name     string
-	Tag      uint32
-	Sessions int
-	// Committed, TPS and Commit describe the measured window's counted
-	// transactions; DeadlineMisses those past the tenant's deadline;
-	// Retries the shed-and-retried (plus lock-timeout) attempts.
-	Committed      int64
-	TPS            float64
-	Commit         stats.Histogram
-	DeadlineMisses int64
-	Retries        int64
-	// Admission is the controller's whole-run accounting for the tenant
-	// (admitted/deprioritized/shed counters, final state, transitions).
-	Admission serve.TenantStats
-}
-
-// ServeRow is one admission regime's measurement.
-type ServeRow struct {
-	// Mode is the regime's name (serve.Control.String(), or
-	// "uncontended" for the paying-only reference run).
-	Mode    string
-	Tenants []ServeTenantRow
-	// Front is the controller's front-wide accounting.
-	Front serve.Stats
-	// Tel is the run's telemetry pipeline (serve.* metrics included),
-	// kept for Prometheus/flight-recorder export.
-	Tel *telemetry.Telemetry
-}
-
-// Tenant returns the row's measurement for one tenant name.
-func (r *ServeRow) Tenant(name string) *ServeTenantRow {
-	for i := range r.Tenants {
-		if r.Tenants[i].Name == name {
-			return &r.Tenants[i]
-		}
-	}
-	return nil
-}
-
-// ServeResult is the full ablation outcome: the uncontended reference
-// plus one row per admission regime.
-type ServeResult struct {
-	Uncontended ServeRow
-	Rows        []ServeRow
-}
-
-// Row returns the measurement of one admission regime by mode name.
-func (r *ServeResult) Row(mode string) *ServeRow {
-	if r.Uncontended.Mode == mode {
-		return &r.Uncontended
-	}
-	for i := range r.Rows {
-		if r.Rows[i].Mode == mode {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
-// ProtectionRatio is the paying tenant's p99 commit latency under the
-// given regime over its uncontended p99 — the ablation's headline
-// number (1.0: full protection).
-func (r *ServeResult) ProtectionRatio(mode string) float64 {
-	base := r.Uncontended.Tenant(payingTenant)
-	row := r.Row(mode)
-	if base == nil || row == nil {
-		return 0
-	}
-	t := row.Tenant(payingTenant)
-	if t == nil || base.Commit.Percentile(99) == 0 {
-		return 0
-	}
-	return float64(t.Commit.Percentile(99)) / float64(base.Commit.Percentile(99))
-}
-
-// Table renders the per-regime, per-tenant comparison.
-func (r *ServeResult) Table() string {
-	t := stats.NewTable("mode", "tenant", "sessions", "TPS", "p50", "p99",
-		"misses", "admitted", "depri", "shed", "state")
-	rows := append([]ServeRow{r.Uncontended}, r.Rows...)
-	for i := range rows {
-		for _, tr := range rows[i].Tenants {
-			t.Row(rows[i].Mode, tr.Name, tr.Sessions,
-				fmt.Sprintf("%.0f", tr.TPS),
-				tr.Commit.Percentile(50).String(),
-				tr.Commit.Percentile(99).String(),
-				tr.DeadlineMisses,
-				tr.Admission.Admitted, tr.Admission.Deprioritized,
-				tr.Admission.Shed, tr.Admission.State.String())
-		}
-	}
-	return t.String()
 }
 
 // kvWorkload binds one terminal to its session: every transaction runs
@@ -287,240 +135,97 @@ func (w *kvWorkload) RunOne(ctx *storage.IOCtx, e *storage.Engine, rng *rand.Ran
 	}
 }
 
-// serveTenants builds the ablation's tenant catalog.
-func serveTenants(cfg ServeConfig) []serve.TenantSpec {
-	return []serve.TenantSpec{
-		{
-			Name:       payingTenant,
-			Tag:        TagPaying,
-			Deadline:   cfg.PayingDeadline,
-			MissBudget: cfg.PayingBudget,
-			// No rate contract: the paying tenant bought headroom.
-		},
-		{
-			Name:       batchTenant,
-			Tag:        TagBatch,
-			Deadline:   cfg.BatchDeadline,
-			MissBudget: cfg.BatchBudget,
-			Rate:       cfg.BatchRate,
-			Burst:      16,
-		},
-	}
+// ckptEager ticks every 20 ms and truncates at a quarter of the log:
+// the serve load is write-heavy enough to wrap the log region between
+// the default policy's 100 ms ticks.
+var ckptEager = CkptPolicy{Tick: 20 * sim.Millisecond, LogShare: 4}
+
+var serveSpec = &spec{name: "serve", fields: serveFields, tagNames: ServeTagNames, table: serveTable}
+
+// Serve runs the serving-front ablation: the uncontended reference
+// ("uncontended": paying tenant only), then the full two-tenant load
+// under each admission regime, each on a freshly built system with the
+// same seed.
+func Serve(cfg ServeConfig) (*Sweep, error) {
+	cfg = cfg.withDefaults()
+	return cfg.sweep(serveSpec, "kv", []mode{
+		cfg.mode("uncontended", serve.ControlNone, false),
+		cfg.mode(serve.ControlNone.String(), serve.ControlNone, true),
+		cfg.mode(serve.ControlRateLimit.String(), serve.ControlRateLimit, true),
+		cfg.mode(serve.ControlFull.String(), serve.ControlFull, true),
+	})
 }
 
-// runServeMode runs one admission regime end to end on a freshly built
-// system. withBatch=false is the uncontended reference.
-func runServeMode(cfg ServeConfig, control serve.Control, withBatch bool, mode string) (*ServeRow, error) {
-	opts := BuildOpts{
-		Sched:        &sched.Config{Policy: sched.Priority},
-		BackgroundGC: true,
-		Telemetry:    &telemetry.Config{},
-	}
-	if cfg.Telemetry != nil {
-		tc := *cfg.Telemetry
-		opts.Telemetry = &tc
-	}
-	devCfg := flash.EmulatorConfig(cfg.Dies, cfg.DriveMB, nand.SLC)
-	sys, err := BuildSystemOpts(StackNoFTLRegions, devCfg, cfg.Frames, opts)
+// mode is one admission regime; withBatch=false is the uncontended
+// reference.
+func (c ServeConfig) mode(name string, control serve.Control, withBatch bool) mode {
+	return mode{name: name, stack: system.StackNoFTLRegions,
+		// The burn guard samples deadline misses through telemetry, so
+		// the pipeline is always attached.
+		opts: system.BuildOpts{Sched: &sched.Config{Policy: sched.Priority}, BackgroundGC: true,
+			Telemetry: &telemetry.Config{}},
+		scenario: func(sys *system.System) (Scenario, error) {
+			return c.scenario(sys, control, withBatch)
+		}}
+}
+
+// scenario mounts the serving front, preloads both tenants' stores and
+// opens one session per terminal up front, so setup errors surface here
+// instead of inside a proc.
+func (c ServeConfig) scenario(sys *system.System, control serve.Control, withBatch bool) (Scenario, error) {
+	front, err := sys.StartServe(serve.Config{Control: control, Tenants: []serve.TenantSpec{
+		// No rate contract: the paying tenant bought headroom.
+		{Name: payingTenant, Tag: TagPaying, Deadline: c.PayingDeadline, MissBudget: c.PayingBudget},
+		{Name: batchTenant, Tag: TagBatch, Deadline: c.BatchDeadline, MissBudget: c.BatchBudget,
+			Rate: c.BatchRate, Burst: 16},
+	}})
 	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
+		return Scenario{}, err
 	}
-	front, err := sys.StartServe(serve.Config{
-		Tenants: serveTenants(cfg),
-		Control: control,
-	})
-	if err != nil {
-		return nil, err
-	}
-	val := make([]byte, cfg.ValBytes)
+	val := make([]byte, c.ValBytes)
 	for i := range val {
 		val[i] = byte('a' + i%26)
 	}
 	for _, store := range []string{payingTenant, batchTenant} {
 		if _, err := front.CreateStore(sys.Ctx, store); err != nil {
-			return nil, err
+			return Scenario{}, err
 		}
-		if err := front.Preload(sys.Ctx, store, cfg.Rows, val); err != nil {
-			return nil, fmt.Errorf("serve: preload %s: %w", store, err)
-		}
-	}
-	if err := sys.Engine.Checkpoint(sys.Ctx); err != nil {
-		return nil, err
-	}
-	sys.Dev.ResetTime()
-	sys.Dev.ResetStats()
-
-	k := sys.K
-	counting := false
-	stopped := false
-	var fatal error
-	fail := func(err error) {
-		if fatal == nil {
-			fatal = err
+		if err := front.Preload(sys.Ctx, store, c.Rows, val); err != nil {
+			return Scenario{}, err
 		}
 	}
-	maint := sched.StartMaintenance(k, sys.NoFTL, sched.MaintConfig{OnError: fail})
-	stopWriters := sys.Engine.StartWriters(k, storage.WriterConfig{
-		N:           cfg.Writers,
-		Association: storage.AssocDieWise,
-		Class:       ioreq.ClassProgram,
-		Tag:         tagWriters,
-	})
-	// The serve load is write-heavy enough to wrap the log region between
-	// the shared checkpointer's 100ms ticks, so this one ticks tighter
-	// and truncates at quarter capacity.
-	k.Go("checkpointer", func(p *sim.Proc) {
-		ctx := (&storage.IOCtx{W: sim.ProcWaiter{P: p}}).
-			WithClass(ioreq.ClassProgram).WithTag(tagCheckpointer)
-		wal := sys.Engine.Log()
-		for !stopped {
-			p.Sleep(20 * sim.Millisecond)
-			if stopped {
-				return
-			}
-			if wal.SinceAnchor()*4 < wal.Capacity() {
-				continue
-			}
-			if err := sys.Engine.Checkpoint(ctx); err != nil {
-				fail(err)
-				return
-			}
-		}
-	})
-
-	// One session per terminal, opened up front so setup errors surface
-	// here instead of inside a proc.
-	payingN := cfg.payingN()
-	batchN := cfg.Clients - payingN
-	openAll := func(tenant, store string, n int) ([]*kvWorkload, error) {
-		out := make([]*kvWorkload, n)
-		for i := range out {
-			s, err := front.OpenSession(tenant, store)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = &kvWorkload{s: s, rows: cfg.Rows, val: val}
-		}
-		return out, nil
-	}
-	retry := func(err error) bool { return errors.Is(err, serve.ErrShed) }
-	spanSink := sys.Tel.RecordSpan
-	payingWls, err := openAll(payingTenant, payingTenant, payingN)
-	if err != nil {
-		return nil, err
-	}
-	paying := workload.StartTerminals(k, sys.Engine, payingWls[0], workload.TerminalConfig{
-		N: payingN, Seed: cfg.Seed, Think: cfg.PayingThink,
-		Counting: &counting, OnFatal: fail, SpanSink: spanSink, Retry: retry,
-		TagOf:         func(int) uint32 { return TagPaying },
-		DeadlineAfter: func(int) sim.Time { return cfg.PayingDeadline },
-		WorkloadOf:    func(id int) workload.Workload { return payingWls[id] },
-	})
-	var batch *workload.Terminals
+	payingN := c.Workers / 4
+	groups := []Group{{Name: payingTenant, N: payingN, Seed: c.Seed, Think: c.PayingThink,
+		Tag: TagPaying, Deadline: c.PayingDeadline}}
 	if withBatch {
-		batchWls, err := openAll(batchTenant, batchTenant, batchN)
-		if err != nil {
-			return nil, err
-		}
-		// FirstID keeps the groups' terminal — and so span — IDs disjoint.
-		batch = workload.StartTerminals(k, sys.Engine, batchWls[0], workload.TerminalConfig{
-			N: batchN, FirstID: payingN, Seed: cfg.Seed + 1_000_003,
-			Counting: &counting, OnFatal: fail, SpanSink: spanSink, Retry: retry,
-			TagOf:         func(int) uint32 { return TagBatch },
-			DeadlineAfter: func(int) sim.Time { return cfg.BatchDeadline },
-			WorkloadOf:    func(id int) workload.Workload { return batchWls[id-payingN] },
-		})
+		groups = append(groups, Group{Name: batchTenant, N: c.Workers - payingN, Seed: c.Seed + 1_000_003,
+			Tag: TagBatch, Deadline: c.BatchDeadline})
 	}
-	// Per-tenant commit tails as live gauges, so the Prometheus export
-	// carries the split the controller acts on. Registered before the
-	// kernel runs — the registry seals at the first sampler tick.
-	sys.Tel.Reg.Gauge("serve.tenant.paying_commit_p99_us", func() float64 {
-		h := paying.TagCommitHist(TagPaying)
-		return us(h.Percentile(99))
-	})
-	if batch != nil {
-		sys.Tel.Reg.Gauge("serve.tenant.batch_commit_p99_us", func() float64 {
-			h := batch.TagCommitHist(TagBatch)
-			return us(h.Percentile(99))
-		})
-	}
-
-	k.RunFor(cfg.Warm)
-	// Settle: spans (and so the burn guard) live, so the guard's
-	// escalation transient finishes before the measured window; the
-	// counters reset below, at a paused-kernel boundary, keep the
-	// settle traffic out of the histograms.
-	counting = true
-	k.RunFor(cfg.Settle)
-	groups := []*workload.Terminals{paying}
-	if batch != nil {
-		groups = append(groups, batch)
-	}
-	for _, g := range groups {
-		for _, term := range g.All {
-			term.Committed = 0
-			term.Retries = 0
-			term.DeadlineMisses = 0
-			term.Hist = stats.Histogram{}
+	for i := range groups {
+		g := &groups[i]
+		g.Retry = func(err error) bool { return errors.Is(err, serve.ErrShed) }
+		g.TenantGauge = true
+		for range g.N {
+			s, err := front.OpenSession(g.Name, g.Name)
+			if err != nil {
+				return Scenario{}, err
+			}
+			g.PerTerminal = append(g.PerTerminal, &kvWorkload{s: s, rows: c.Rows, val: val})
 		}
 	}
-	k.RunFor(cfg.Measure)
-	counting = false
-	stopped = true
-	paying.Stop()
-	if batch != nil {
-		batch.Stop()
-	}
-	stopWriters()
-	maint.Stop()
-	k.RunFor(10 * sim.Millisecond)
-	k.Shutdown()
-	if fatal != nil {
-		return nil, fmt.Errorf("serve: %w", fatal)
-	}
-
-	row := &ServeRow{Mode: mode, Front: front.Stats(), Tel: sys.Tel}
-	fill := func(name string, tag uint32, ts *workload.Terminals, n int) {
-		adm, _ := front.TenantStats(name)
-		committed := ts.TagCommitted(tag)
-		row.Tenants = append(row.Tenants, ServeTenantRow{
-			Name:           name,
-			Tag:            tag,
-			Sessions:       n,
-			Committed:      committed,
-			TPS:            float64(committed) / cfg.Measure.Seconds(),
-			Commit:         ts.TagCommitHist(tag),
-			DeadlineMisses: ts.TagDeadlineMisses(tag),
-			Retries:        ts.Retries(),
-			Admission:      adm,
-		})
-	}
-	fill(payingTenant, TagPaying, paying, payingN)
-	if batch != nil {
-		fill(batchTenant, TagBatch, batch, batchN)
-	}
-	return row, nil
+	return Scenario{Association: storage.AssocDieWise, Tagged: true, Ckpt: ckptEager, Groups: groups}, nil
 }
 
-// Serve runs the serving-front ablation: the uncontended reference,
-// then the full two-tenant load under each admission regime, each on a
-// freshly built system with the same seed.
-func Serve(cfg ServeConfig) (*ServeResult, error) {
-	cfg = cfg.withDefaults()
-	res := &ServeResult{}
-	base, err := runServeMode(cfg, serve.ControlNone, false, "uncontended")
-	if err != nil {
-		return nil, err
-	}
-	res.Uncontended = *base
-	for _, control := range []serve.Control{
-		serve.ControlNone, serve.ControlRateLimit, serve.ControlFull,
-	} {
-		row, err := runServeMode(cfg, control, true, control.String())
-		if err != nil {
-			return nil, err
+func serveTable(s *Sweep) string {
+	t := stats.NewTable("mode", "tenant", "sessions", "TPS", "p50", "p99",
+		"misses", "admitted", "depri", "shed", "state")
+	for _, r := range s.Rows {
+		for _, g := range r.Groups {
+			t.Row(r.Mode, g.Name, g.Terminals, fmt.Sprintf("%.0f", g.TPS),
+				g.CommitHist.Percentile(50).String(), g.CommitHist.Percentile(99).String(),
+				g.DeadlineMisses, g.Admission.Admitted, g.Admission.Deprioritized,
+				g.Admission.Shed, g.Admission.State.String())
 		}
-		res.Rows = append(res.Rows, *row)
 	}
-	return res, nil
+	return t.String()
 }

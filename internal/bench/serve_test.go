@@ -13,16 +13,18 @@ import (
 
 func tinyServeConfig(seed int64) ServeConfig {
 	return ServeConfig{
-		Dies:    4,
-		DriveMB: 24,
-		Frames:  192,
-		Writers: 4,
-		Clients: 120,
-		Rows:    2048,
-		Warm:    300 * sim.Millisecond,
-		Settle:  600 * sim.Millisecond,
-		Measure: 1 * sim.Second,
-		Seed:    seed,
+		Params: Params{
+			Dies:    4,
+			DriveMB: 24,
+			Frames:  192,
+			Writers: 4,
+			Workers: 120,
+			Warm:    300 * sim.Millisecond,
+			Settle:  600 * sim.Millisecond,
+			Measure: 1 * sim.Second,
+			Seed:    seed,
+		},
+		Rows: 2048,
 	}
 }
 
@@ -38,15 +40,15 @@ func TestServeAblationSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3 regimes", len(res.Rows))
+	if len(res.Rows) != 4 || res.Rows[0].Mode != "uncontended" {
+		t.Fatalf("rows = %d, want the uncontended reference plus 3 regimes", len(res.Rows))
 	}
-	if got := res.Uncontended.Tenant(payingTenant); got == nil || got.Committed == 0 {
+	if got := res.Row("uncontended").Group(payingTenant); got == nil || got.Committed == 0 {
 		t.Fatal("uncontended reference committed nothing")
 	}
-	for i := range res.Rows {
+	for i := 1; i < len(res.Rows); i++ {
 		row := &res.Rows[i]
-		for _, tr := range row.Tenants {
+		for _, tr := range row.Groups {
 			if tr.Committed == 0 {
 				t.Fatalf("%s/%s committed nothing", row.Mode, tr.Name)
 			}
@@ -69,13 +71,13 @@ func TestServeAblationSmoke(t *testing.T) {
 		t.Fatalf("no-control regime controlled something: %+v", none.Front)
 	}
 	cfg := tinyServeConfig(42).withDefaults()
-	if b := none.Tenant(batchTenant); b.TPS < 2*cfg.BatchRate {
+	if b := none.Group(batchTenant); b.TPS < 2*cfg.BatchRate {
 		t.Fatalf("no-control batch TPS %.0f: load too weak to demonstrate anything (rate %.0f)",
 			b.TPS, cfg.BatchRate)
 	}
 
 	// Rate limit: batch paced to its contract (±20%), never shed.
-	if b := rate.Tenant(batchTenant); b.TPS > 1.2*cfg.BatchRate {
+	if b := rate.Group(batchTenant); b.TPS > 1.2*cfg.BatchRate {
 		t.Fatalf("rate-limit batch TPS %.0f over contract %.0f", b.TPS, cfg.BatchRate)
 	}
 	if rate.Front.Shed != 0 {
@@ -84,17 +86,17 @@ func TestServeAblationSmoke(t *testing.T) {
 
 	// Full control: the batch tenant burns its budget, gets deprioritized
 	// and shed; the paying tenant's p99 lands within 1.2x of uncontended.
-	fb := full.Tenant(batchTenant)
+	fb := full.Group(batchTenant)
 	if fb.Admission.Deprioritized == 0 || fb.Admission.Shed == 0 {
 		t.Fatalf("full regime never punished the breaching tenant: %+v", fb.Admission)
 	}
 	if fb.Admission.State == serve.Healthy {
 		t.Fatalf("breaching tenant ended healthy: %+v", fb.Admission)
 	}
-	if fp := full.Tenant(payingTenant); fp.Admission.Shed != 0 {
+	if fp := full.Group(payingTenant); fp.Admission.Shed != 0 {
 		t.Fatalf("compliant tenant was shed: %+v", fp.Admission)
 	}
-	if ratio := res.ProtectionRatio(serve.ControlFull.String()); ratio == 0 || ratio > 1.2 {
+	if ratio := res.P99Ratio(serve.ControlFull.String()+"/"+payingTenant, "uncontended/"+payingTenant); ratio == 0 || ratio > 1.2 {
 		t.Fatalf("paying p99 protection ratio %.2f under full control, want (0, 1.2]", ratio)
 	}
 }
@@ -103,8 +105,8 @@ func TestServeAblationSmoke(t *testing.T) {
 // the Prometheus rendering, with the admission counters nonzero in the
 // full regime.
 func TestServeTelemetryExport(t *testing.T) {
-	cfg := tinyServeConfig(9)
-	row, err := runServeMode(cfg.withDefaults(), serve.ControlFull, true, "rate-limit+shed")
+	cfg := tinyServeConfig(9).withDefaults()
+	row, err := cfg.run(serveSpec, cfg.mode("rate-limit+shed", serve.ControlFull, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestServeDeterministicJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		report = &JSONReport{Seed: 7}
-		report.AddServe(res)
+		report.Add(res)
 		out, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
 			t.Fatal(err)

@@ -42,8 +42,8 @@ func TestTelemetryAcceptance(t *testing.T) {
 	// Every counted commit produced a span whose stage durations sum
 	// exactly to its latency (the flight recorder's invariant).
 	spans := tel.Spans()
-	if int64(len(spans)) != row.Result.Committed {
-		t.Fatalf("spans = %d, committed = %d", len(spans), row.Result.Committed)
+	if int64(len(spans)) != row.Committed {
+		t.Fatalf("spans = %d, committed = %d", len(spans), row.Committed)
 	}
 	var spanCmds int64
 	for _, sp := range spans {
@@ -61,7 +61,7 @@ func TestTelemetryAcceptance(t *testing.T) {
 
 	// The command log records every dispatched command, so the exported
 	// trace's command slices cover 100% >= 99% of them.
-	if got, want := int64(len(row.CmdLog.Events)), row.Result.Sched.TotalScheduled(); got != want {
+	if got, want := int64(len(row.CmdLog.Events)), row.Sched.TotalScheduled(); got != want {
 		t.Fatalf("trace covers %d commands, scheduler dispatched %d", got, want)
 	}
 
@@ -154,7 +154,7 @@ func TestTelemetryOffNoSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, rb := resOff.Rows[0].Result, resOn.Rows[0].Result
+	ra, rb := &resOff.Rows[0], &resOn.Rows[0]
 	if ra.Committed != rb.Committed || ra.Device.Erases != rb.Device.Erases ||
 		ra.Sched != rb.Sched {
 		t.Fatalf("telemetry perturbed the simulation:\noff: committed=%d erases=%d\non:  committed=%d erases=%d",

@@ -21,13 +21,6 @@ type ValidateConfig struct {
 	Seed int64
 }
 
-func (c ValidateConfig) withDefaults() ValidateConfig {
-	if c.Ops <= 0 {
-		c.Ops = 2000
-	}
-	return c
-}
-
 // ValidateRow is one synthetic job's outcome versus the model.
 type ValidateRow struct {
 	Cell     nand.CellType
@@ -73,7 +66,7 @@ func (r *ValidateResult) Table() string {
 // every cell type and pattern against the analytic model, plus die
 // scaling at higher queue depth.
 func Validate(cfg ValidateConfig) (*ValidateResult, error) {
-	cfg = cfg.withDefaults()
+	cfg.Ops = orDefault(cfg.Ops, 2000)
 	res := &ValidateResult{ScalingIOPS: map[int]float64{}}
 
 	for _, cell := range []nand.CellType{nand.SLC, nand.MLC, nand.TLC} {

@@ -159,6 +159,15 @@ func StartTerminals(k *sim.Kernel, e *storage.Engine, wl Workload, cfg TerminalC
 // Stop halts the terminals at their next transaction boundary.
 func (ts *Terminals) Stop() { ts.stopped = true }
 
+// ResetCounters zeroes every terminal's counted transactions, retries,
+// deadline misses and commit histogram, so traffic before the call
+// stays out of what the handle reports.
+func (ts *Terminals) ResetCounters() {
+	for _, t := range ts.All {
+		t.Committed, t.Retries, t.DeadlineMisses, t.Hist = 0, 0, 0, stats.Histogram{}
+	}
+}
+
 // Committed sums committed (counted) transactions over all terminals.
 func (ts *Terminals) Committed() int64 {
 	var n int64

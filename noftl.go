@@ -335,10 +335,20 @@ type (
 	Fig4Config = bench.Fig4Config
 	// Fig4Result holds one Figure-4 sub-figure.
 	Fig4Result = bench.Fig4Result
-	// HeadlineConfig / HeadlineResult: the end-to-end stack comparison.
-	HeadlineConfig = bench.HeadlineConfig
-	// HeadlineResult compares the stacks.
-	HeadlineResult = bench.HeadlineResult
+	// Params are the knobs every kernel-driven experiment shares
+	// (geometry, terminals, db-writers, windows, seed, observability);
+	// zero fields take the experiment's defaults.
+	Params = bench.Params
+	// Observe attaches telemetry, blame, health and command tracing to
+	// every run of an experiment.
+	Observe = bench.Observe
+	// Sweep is a kernel-driven experiment's outcome: one ScenarioResult
+	// per mode, with the experiment's table and ratio helpers.
+	Sweep = bench.Sweep
+	// StackConfig parameterizes the stack sweeps: the end-to-end stack
+	// comparison (Headline), the in-place-appends ablation (A5) and the
+	// configurable-regions ablation (A6).
+	StackConfig = bench.StackConfig
 	// LatencyConfig / LatencyResult: the random-write latency study.
 	LatencyConfig = bench.LatencyConfig
 	// LatencyResult compares latency distributions.
@@ -347,36 +357,19 @@ type (
 	ValidateConfig = bench.ValidateConfig
 	// ValidateResult is the validation table.
 	ValidateResult = bench.ValidateResult
-	// DeltaConfig / DeltaResult: the in-place-appends ablation (A5),
-	// full-page NoFTL vs delta-append NoFTL vs the FTL block device.
-	DeltaConfig = bench.DeltaConfig
-	// DeltaResult is the delta-write ablation table.
-	DeltaResult = bench.DeltaResult
-	// RegionsConfig / RegionsResult: the configurable-regions ablation
-	// (A6), single-policy NoFTL vs region-managed placement with the
-	// WAL on a native append-only log region.
-	RegionsConfig = bench.RegionsConfig
-	// RegionsResult is the regions ablation table.
-	RegionsResult = bench.RegionsResult
-	// SchedConfig / SchedResult: the command-scheduling ablation (A7) —
+	// SchedConfig parameterizes the command-scheduling ablation (A7) —
 	// inline GC vs background GC vs priority scheduling vs per-request
 	// tagging.
 	SchedConfig = bench.SchedConfig
-	// SchedResult is the scheduling ablation outcome.
-	SchedResult = bench.SchedResult
 	// SchedMode names one regime of the scheduling ablation.
 	SchedMode = bench.SchedMode
-	// HTAPConfig / HTAPResult: the HTAP ablation (A8) — OLTP terminals
+	// HTAPConfig parameterizes the HTAP ablation (A8) — OLTP terminals
 	// vs analytical scans under buffer-pool and read-ahead policies.
 	HTAPConfig = bench.HTAPConfig
-	// HTAPResult is the HTAP ablation outcome.
-	HTAPResult = bench.HTAPResult
-	// QoSConfig / QoSResult: the per-request QoS demo — two terminal
+	// QoSConfig parameterizes the per-request QoS demo — two terminal
 	// groups on one stack, one declared low-priority, with per-tag
 	// commit-latency attribution.
 	QoSConfig = bench.QoSConfig
-	// QoSResult is the QoS demo outcome.
-	QoSResult = bench.QoSResult
 	// AblationResult is one design-choice sweep's table (A1-A4).
 	AblationResult = bench.AblationResult
 	// JSONReport collects machine-readable experiment results
@@ -386,8 +379,8 @@ type (
 	JSONResult = bench.JSONResult
 )
 
-// Stream tags of the QoS demo's two tenants (QoSResult rows and blame
-// tables key on these).
+// Stream tags of the QoS demo's two tenants (its "high" and "low"
+// groups; blame tables key on these).
 const (
 	// TagHighPriority marks the QoS demo's foreground tenant.
 	TagHighPriority = bench.TagHighPriority
@@ -420,7 +413,7 @@ func Figure3(cfg Fig3Config) (*Fig3Result, error) { return bench.Figure3(cfg) }
 func Figure4(cfg Fig4Config) (*Fig4Result, error) { return bench.Figure4(cfg) }
 
 // Headline regenerates the end-to-end stack comparison.
-func Headline(cfg HeadlineConfig) (*HeadlineResult, error) { return bench.Headline(cfg) }
+func Headline(cfg StackConfig) (*Sweep, error) { return bench.Headline(cfg) }
 
 // Latency regenerates the write-latency study.
 func Latency(cfg LatencyConfig) (*LatencyResult, error) { return bench.Latency(cfg) }
@@ -430,27 +423,28 @@ func Validate(cfg ValidateConfig) (*ValidateResult, error) { return bench.Valida
 
 // DeltaAblation runs the in-place-appends ablation: what page-
 // differential flushes (Volume.WriteDelta) buy over full-page writes.
-func DeltaAblation(cfg DeltaConfig) (*DeltaResult, error) { return bench.DeltaAblation(cfg) }
+func DeltaAblation(cfg StackConfig) (*Sweep, error) { return bench.DeltaAblation(cfg) }
 
 // RegionsAblation runs the configurable-regions ablation: what
 // per-region management policies and object placement buy over a
 // single-policy volume when the WAL also lives on flash.
-func RegionsAblation(cfg RegionsConfig) (*RegionsResult, error) { return bench.RegionsAblation(cfg) }
+func RegionsAblation(cfg StackConfig) (*Sweep, error) { return bench.RegionsAblation(cfg) }
 
 // SchedAblation runs the command-scheduling ablation (A7): inline GC vs
 // background GC vs priority scheduling vs per-request tagging on the
 // region-managed stack.
-func SchedAblation(cfg SchedConfig) (*SchedResult, error) { return bench.SchedAblation(cfg) }
+func SchedAblation(cfg SchedConfig) (*Sweep, error) { return bench.SchedAblation(cfg) }
 
 // HTAPAblation runs the HTAP ablation (A8): OLTP terminals vs
 // analytical scans under the naive, scan-resistant and
 // scan-resistant+prefetch pool policies.
-func HTAPAblation(cfg HTAPConfig) (*HTAPResult, error) { return bench.HTAPAblation(cfg) }
+func HTAPAblation(cfg HTAPConfig) (*Sweep, error) { return bench.HTAPAblation(cfg) }
 
 // QoS runs the per-request QoS demo: two TPC-B terminal groups on one
 // priority-scheduled stack, one group declared low-priority through the
-// request descriptor, reporting per-tag commit latency.
-func QoS(cfg QoSConfig) (*QoSResult, error) { return bench.QoS(cfg) }
+// request descriptor, reporting per-tag commit latency (one mode, "qos",
+// with groups "high" and "low").
+func QoS(cfg QoSConfig) (*Sweep, error) { return bench.QoS(cfg) }
 
 // AblationGCPolicy sweeps the GC victim-selection policy (A1).
 func AblationGCPolicy(seed int64) (*AblationResult, error) { return bench.AblationGCPolicy(seed) }

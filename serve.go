@@ -103,15 +103,6 @@ type (
 	// and rate-limit+shed admission regimes plus an uncontended
 	// reference.
 	ServeAblationConfig = bench.ServeConfig
-	// ServeAblationResult is the ablation outcome: the uncontended
-	// reference plus one row per admission regime.
-	ServeAblationResult = bench.ServeResult
-	// ServeAblationRow is one admission regime's measurement.
-	ServeAblationRow = bench.ServeRow
-	// ServeTenantRow is one tenant's measurement under one regime:
-	// throughput, commit tail, deadline misses and the admission
-	// controller's decision counters.
-	ServeTenantRow = bench.ServeTenantRow
 )
 
 // Stream tags of the serving ablation's tenants (blame tables and
@@ -128,7 +119,9 @@ const (
 // regimes, asking whether admission control keeps the compliant
 // tenant's commit tail near its uncontended baseline while the
 // budget-breaching tenant is visibly deprioritized and shed.
-func ServeAblation(cfg ServeAblationConfig) (*ServeAblationResult, error) {
+// Its Sweep holds the "uncontended" row, then one row per regime, each
+// with "paying" and (contended) "batch" groups.
+func ServeAblation(cfg ServeAblationConfig) (*Sweep, error) {
 	return bench.Serve(cfg)
 }
 

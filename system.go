@@ -162,21 +162,30 @@ func StartTerminals(k *Kernel, e *Engine, wl Workload, cfg TerminalConfig) *Term
 	return workload.StartTerminals(k, e, wl, cfg)
 }
 
-// --- canned run drivers ---
+// --- the scenario harness ---
 
 type (
-	// TPSConfig drives a throughput measurement (terminals, db-writers,
-	// checkpointing, warm-up and measure windows, tagging).
-	TPSConfig = bench.TPSConfig
-	// TPSResult is one throughput measurement with latency histograms
-	// and cross-layer counters.
-	TPSResult = bench.TPSResult
+	// Scenario describes one measured run: terminal groups, optional
+	// analytical readers, db-writers, tagging, checkpoint policy and the
+	// warm, settle and measure windows.
+	Scenario = bench.Scenario
+	// TerminalGroup is one terminal group of a Scenario (workload, count,
+	// seed, think time, request descriptor, retry policy).
+	TerminalGroup = bench.Group
+	// CkptPolicy decides when a Scenario's checkpointer truncates the
+	// log (zero value: every 2 s or at half a log, on a 100 ms tick).
+	CkptPolicy = bench.CkptPolicy
+	// ScenarioResult is one scenario run: measure-window totals, the
+	// per-group split, cross-layer counters and observability artifacts.
+	ScenarioResult = bench.Result
+	// GroupResult is one terminal group's measure window.
+	GroupResult = bench.GroupResult
 )
 
-// RunTPS loads wl on the system, then measures transaction throughput
-// under the DES kernel: terminal processes, background db-writers, a
-// checkpointer, and (on background-GC systems) flash-maintenance
-// workers.
-func RunTPS(sys *System, wl Workload, cfg TPSConfig) (*TPSResult, error) {
-	return bench.RunTPS(sys, wl, cfg)
+// RunScenario loads the scenario's workloads on the system, then
+// measures it under the DES kernel: terminal groups and readers next to
+// db-writers, a checkpointer, read-ahead prefetchers and (on
+// background-GC systems) flash-maintenance workers.
+func RunScenario(sys *System, sc Scenario) (*ScenarioResult, error) {
+	return bench.RunScenario(sys, sc)
 }

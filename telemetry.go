@@ -52,8 +52,8 @@ type (
 // WithTelemetry attaches the cross-layer telemetry pipeline to a
 // facade-built system: a metrics registry over every layer's counters
 // with a periodic sim-time sampler, plus a flight recorder for request
-// spans. Runners (RunTPS, the sched ablation) deliver transaction spans
-// automatically when the system carries a pipeline.
+// spans. RunScenario, and so every experiment, delivers transaction
+// spans automatically when the system carries a pipeline.
 func WithTelemetry(cfg TelemetryConfig) SystemOption { return system.WithTelemetry(cfg) }
 
 // WriteTraceEvents exports a Chrome trace-event JSON file from a
